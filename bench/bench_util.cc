@@ -31,11 +31,12 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config) {
   return bench;
 }
 
-void EmitBenchJson(const engine::EngineConfig& config,
-                   const std::string& bench_name,
-                   const runtime::RuntimeMetrics& metrics,
-                   const std::vector<std::pair<std::string, double>>& extra) {
-  const std::string line = metrics.ToJsonLine(bench_name, extra);
+namespace {
+
+/// Writes one JSON line to stderr and appends it to
+/// config.bench_json_path when set.
+void EmitJsonLine(const engine::EngineConfig& config,
+                  const std::string& line) {
   std::fputs(line.c_str(), stderr);
   if (!config.bench_json_path.empty()) {
     std::FILE* f = std::fopen(config.bench_json_path.c_str(), "a");
@@ -44,6 +45,15 @@ void EmitBenchJson(const engine::EngineConfig& config,
       std::fclose(f);
     }
   }
+}
+
+}  // namespace
+
+void EmitBenchJson(const engine::EngineConfig& config,
+                   const std::string& bench_name,
+                   const runtime::RuntimeMetrics& metrics,
+                   const std::vector<std::pair<std::string, double>>& extra) {
+  EmitJsonLine(config, metrics.ToJsonLine(bench_name, extra));
 }
 
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
@@ -109,6 +119,8 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
     oracle_calls += analysis->oracle_calls;
     metrics.cache_hits += analysis->cache_hits;
     metrics.cache_misses += analysis->cache_misses;
+    metrics.cache_entries += analysis->cache_entries;
+    metrics.cache_evictions += analysis->cache_evictions;
     cache_imported += analysis->cache_imported;
     probe_calls += analysis->oracle_probe_calls;
     metrics.oracle_attempts += analysis->oracle_attempts;
@@ -206,12 +218,10 @@ int RunBenchMain(int argc, char** argv, const std::string& name,
   // count, mode and exit code machine-readably, even the ones with
   // bespoke stdout. Richer per-figure lines (cache/resilience counters)
   // are emitted separately by RunWorstCaseFigure and friends.
-  runtime::RuntimeMetrics metrics;
-  metrics.threads = runtime::GlobalThreadCount();
-  metrics.phase_wall_ms.emplace_back("main", timer.ElapsedMs());
-  EmitBenchJson(eng->config(), name, metrics,
-                {{"quick", eng->config().quick ? 1.0 : 0.0},
-                 {"exit_code", static_cast<double>(rc)}});
+  EmitJsonLine(eng->config(),
+               runtime::FootprintJsonLine(name, runtime::GlobalThreadCount(),
+                                          timer.ElapsedMs(),
+                                          eng->config().quick, rc));
   return rc;
 }
 

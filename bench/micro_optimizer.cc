@@ -1,5 +1,6 @@
 // Micro-benchmarks of the optimizer itself: cost of one full
-// dynamic-programming optimization per TPC-H query class, plus the
+// dynamic-programming optimization per TPC-H query class, with the DP's
+// join candidates priced, built and kept per call, plus the
 // ablation the paper's setup implies (bushy vs left-deep enumeration —
 // DB2's optimization level 7 considers bushy trees, Section 7.1).
 #include <benchmark/benchmark.h>
@@ -7,6 +8,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/feasible_region.h"
+#include "opt/join_enum.h"
 #include "opt/optimizer.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -26,14 +28,29 @@ void BM_OptimizeTpch(benchmark::State& state) {
       storage::LayoutPolicy::kPerTableAndIndex, Cat(),
       query::ReferencedTables(q));
   const storage::ResourceSpace space = layout.BuildResourceSpace();
-  const opt::Optimizer optimizer(Cat(), layout, space);
+  const opt::CostModel model(Cat(), layout, space, q);
+  const opt::OptimizerOptions options;
   const core::Box box =
       core::Box::MultiplicativeBand(space.BaselineCosts(), 100.0);
   Rng rng(1);
+  // One enumerator per call, as Optimizer::Optimize does; its DP
+  // counters are reported per call.
+  opt::JoinEnumerator::Counters dp;
   for (auto _ : state) {
-    const auto r = optimizer.Optimize(q, box.SampleLogUniform(rng));
-    benchmark::DoNotOptimize(r->total_cost);
+    opt::JoinEnumerator enumerator(model, Cat(), options);
+    const auto r = enumerator.BestPlan(box.SampleLogUniform(rng));
+    benchmark::DoNotOptimize((*r)->usage);
+    dp.priced += enumerator.counters().priced;
+    dp.built += enumerator.counters().built;
+    dp.kept += enumerator.counters().kept;
   }
+  const auto per_call = [](size_t n) {
+    return benchmark::Counter(static_cast<double>(n),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["priced"] = per_call(dp.priced);
+  state.counters["built"] = per_call(dp.built);
+  state.counters["kept"] = per_call(dp.kept);
   state.SetLabel("tables=" + std::to_string(q.num_tables()));
 }
 BENCHMARK(BM_OptimizeTpch)->Arg(1)->Arg(3)->Arg(5)->Arg(9)->Arg(8)

@@ -106,6 +106,8 @@ Result<QueryAnalysis> FigureRunner::Analyze(
   const runtime::OracleCacheStats cache = oracle.stats();
   out.cache_hits = cache.hits;
   out.cache_misses = cache.misses;
+  out.cache_entries = cache.entries;
+  out.cache_evictions = cache.evictions;
   stack.PublishToStore();
   return out;
 }
@@ -172,6 +174,8 @@ Result<QueryAnalysis> FigureRunner::AnalyzeResilient(
   const runtime::StackTelemetry telemetry = stack.telemetry();
   out.cache_hits = telemetry.cache.hits;
   out.cache_misses = telemetry.cache.misses;
+  out.cache_entries = telemetry.cache.entries;
+  out.cache_evictions = telemetry.cache.evictions;
   out.oracle_probe_calls = telemetry.resilience.calls;
   out.oracle_attempts = telemetry.resilience.attempts;
   out.oracle_retries = telemetry.resilience.retries;

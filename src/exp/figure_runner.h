@@ -50,6 +50,10 @@ struct QueryAnalysis {
   /// Memoizing-oracle effectiveness during this analysis.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
+  /// Entries resident in this analysis's cache when it finished, and
+  /// entries evicted to make room.
+  size_t cache_entries = 0;
+  size_t cache_evictions = 0;
   /// Entries seeded from a persisted snapshot before the first probe (0
   /// on a cold start or when no store is attached).
   size_t cache_imported = 0;

@@ -166,23 +166,31 @@ PlanNodePtr CostModel::IndexScan(size_t ref, int index_id,
   return node;
 }
 
-int CostModel::ChargeSort(core::UsageVector& usage, double rows,
-                          double pages) const {
-  if (rows <= 1.0) return 0;
-  const double compares = rows * std::log2(std::max(2.0, rows));
+void CostModel::ChargeSort(const Input& child,
+                           core::UsageVector& usage) const {
+  usage = child.usage;
+  if (child.rows <= 1.0) return;
+  const double compares = child.rows * std::log2(std::max(2.0, child.rows));
   space_.ChargeCpu(usage, compares * config_.cpu_sort_compare_instructions);
-  if (pages <= config_.sort_heap_pages) return 0;  // in-memory sort
+  if (child.pages <= config_.sort_heap_pages) return;  // in-memory sort
 
   // External sort: run generation writes all pages to temp and each merge
   // pass reads and rewrites them.
-  const double runs = std::ceil(pages / config_.sort_heap_pages);
+  const double runs = std::ceil(child.pages / config_.sort_heap_pages);
   const int passes = static_cast<int>(std::max(
       1.0, std::ceil(std::log(runs) / std::log(config_.merge_fan_in))));
-  const double total_pages = 2.0 * pages * passes;  // write + read per pass
+  const double total_pages = 2.0 * child.pages * passes;  // write + read
   space_.ChargeIo(usage, layout_.TempDevice(),
                   std::max(1.0, total_pages / config_.prefetch_pages),
                   total_pages);
-  return passes;
+}
+
+CostModel::Input CostModel::SortedInput(
+    const PlanNode& child, const std::vector<query::SortKey>& keys,
+    core::UsageVector& scratch) const {
+  if (keys.empty() || OrderSatisfies(child.order, keys)) return child;
+  ChargeSort(child, scratch);
+  return Input(scratch, child.output_rows, child.output_pages);
 }
 
 PlanNodePtr CostModel::Sort(PlanNodePtr child,
@@ -196,94 +204,97 @@ PlanNodePtr CostModel::Sort(PlanNodePtr child,
   node->output_width_bytes = child->output_width_bytes;
   node->output_pages = child->output_pages;
   node->order = std::move(keys);
-  node->usage = child->usage;
-  ChargeSort(node->usage, child->output_rows, child->output_pages);
-  node->id = StrFormat("SORT[%s](%s)", KeysToString(node->order).c_str(),
-                       child->id.c_str());
+  ChargeSort(*child, node->usage);
   node->left = std::move(child);
   return node;
 }
 
-PlanNodePtr CostModel::FinishJoin(OpType op, PlanNodePtr left,
-                                  PlanNodePtr right, const JoinProps& props,
-                                  core::UsageVector usage,
-                                  std::vector<query::SortKey> order,
-                                  std::string id) const {
+std::shared_ptr<PlanNode> CostModel::NewJoin(OpType op, PlanNodePtr left,
+                                             PlanNodePtr right,
+                                             const JoinProps& props) const {
   auto node = std::make_shared<PlanNode>();
   node->op = op;
   node->join_edge = props.edge;
   node->join_kind = props.edge >= 0 ? query_.joins[props.edge].kind
                                     : query::JoinKind::kInner;
-  node->tables = left->tables | (right ? right->tables : 0u);
+  node->tables = left->tables | right->tables;
   node->output_rows = props.output_rows;
   node->output_width_bytes = props.output_width_bytes;
   node->output_pages = PagesFor(props.output_rows, props.output_width_bytes);
-  node->order = std::move(order);
-  node->usage = std::move(usage);
-  node->id = std::move(id);
   node->left = std::move(left);
   node->right = std::move(right);
   return node;
 }
 
-PlanNodePtr CostModel::HashJoin(PlanNodePtr left, PlanNodePtr right,
-                                const JoinProps& props) const {
-  core::UsageVector usage = left->usage + right->usage;
-  const double build_pages = right->output_pages;
+void CostModel::ChargeHashJoin(const Input& left, const Input& right,
+                               const JoinProps& props,
+                               core::UsageVector& usage) const {
+  usage = left.usage;
+  usage += right.usage;
   const double memory =
       config_.buffer_pool_pages * config_.hash_build_memory_fraction;
-  if (build_pages > memory) {
+  if (right.pages > memory) {
     // Hybrid hash: partition both inputs to temp and read them back.
-    const double spill = 2.0 * (left->output_pages + right->output_pages);
+    const double spill = 2.0 * (left.pages + right.pages);
     space_.ChargeIo(usage, layout_.TempDevice(),
                     std::max(1.0, spill / config_.prefetch_pages), spill);
-    space_.ChargeCpu(usage, (left->output_rows + right->output_rows) *
-                                config_.cpu_tuple_instructions);
+    space_.ChargeCpu(usage,
+                     (left.rows + right.rows) * config_.cpu_tuple_instructions);
   }
   space_.ChargeCpu(usage,
-                   right->output_rows * config_.cpu_hash_build_instructions +
-                       left->output_rows * config_.cpu_hash_probe_instructions +
+                   right.rows * config_.cpu_hash_build_instructions +
+                       left.rows * config_.cpu_hash_probe_instructions +
                        props.output_rows *
                            (config_.cpu_join_output_instructions +
                             props.residual_edges *
                                 config_.cpu_predicate_instructions));
-  std::string id = StrFormat("HSJ[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), right->id.c_str());
+}
+
+PlanNodePtr CostModel::HashJoin(PlanNodePtr left, PlanNodePtr right,
+                                const JoinProps& props) const {
   // Hash join output follows the probe (left) order only when nothing
   // spilled; stay conservative and declare it unordered.
-  return FinishJoin(OpType::kHashJoin, std::move(left), std::move(right),
-                    props, std::move(usage), {}, std::move(id));
+  auto node = NewJoin(OpType::kHashJoin, std::move(left), std::move(right),
+                      props);
+  ChargeHashJoin(*node->left, *node->right, props, node->usage);
+  return node;
+}
+
+void CostModel::ChargeSortMergeJoin(const Input& left, const Input& right,
+                                    const JoinProps& props,
+                                    core::UsageVector& usage) const {
+  usage = left.usage;
+  usage += right.usage;
+  space_.ChargeCpu(usage,
+                   (left.rows + right.rows) *
+                           config_.cpu_sort_compare_instructions +
+                       props.output_rows *
+                           (config_.cpu_join_output_instructions +
+                            props.residual_edges *
+                                config_.cpu_predicate_instructions));
 }
 
 PlanNodePtr CostModel::SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
                                      const JoinProps& props) const {
   COSTSENSE_CHECK(props.edge >= 0);
   const query::JoinEdge& edge = query_.joins[props.edge];
-  core::UsageVector usage = left->usage + right->usage;
-  space_.ChargeCpu(usage,
-                   (left->output_rows + right->output_rows) *
-                           config_.cpu_sort_compare_instructions +
-                       props.output_rows *
-                           (config_.cpu_join_output_instructions +
-                            props.residual_edges *
-                                config_.cpu_predicate_instructions));
+  auto node = NewJoin(OpType::kSortMergeJoin, std::move(left),
+                      std::move(right), props);
+  ChargeSortMergeJoin(*node->left, *node->right, props, node->usage);
   // Output keeps the merge order, expressed on whichever edge endpoint
   // lives in the left subtree.
   const bool left_holds_edge_left =
-      (left->tables >> edge.left_ref) & 1u;
-  std::vector<query::SortKey> order = {
-      left_holds_edge_left
-          ? query::SortKey{edge.left_ref, edge.left_column}
-          : query::SortKey{edge.right_ref, edge.right_column}};
-  std::string id = StrFormat("SMJ[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), right->id.c_str());
-  return FinishJoin(OpType::kSortMergeJoin, std::move(left), std::move(right),
-                    props, std::move(usage), std::move(order), std::move(id));
+      (node->left->tables >> edge.left_ref) & 1u;
+  node->order = {left_holds_edge_left
+                     ? query::SortKey{edge.left_ref, edge.left_column}
+                     : query::SortKey{edge.right_ref, edge.right_column}};
+  return node;
 }
 
-PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
-                                   int index_id, bool index_only,
-                                   const JoinProps& props) const {
+void CostModel::ChargeIndexNLJoin(const Input& left, size_t right_ref,
+                                  int index_id, bool index_only,
+                                  const JoinProps& props,
+                                  core::UsageVector& usage) const {
   COSTSENSE_CHECK(props.edge >= 0);
   const query::TableRef& tref = query_.refs[right_ref];
   const catalog::Table& table = catalog_.table(tref.table_id);
@@ -311,10 +322,10 @@ PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
         catalog::JoinSelectivity(outer_table.column(outer_col).stats,
                                  table.column(inner_col).stats);
   }
-  const double probes = left->output_rows;
+  const double probes = left.rows;
   const double fetched_rows = probes * table.row_count() * join_sel;
 
-  core::UsageVector usage = left->usage;
+  usage = left.usage;
   const int index_device = layout_.IndexDevice(tref.table_id);
   // Each probe descends to one leaf; upper levels are assumed cached after
   // the first probe, leaving one random leaf access per probe.
@@ -334,7 +345,16 @@ PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
                  props.output_rows * (config_.cpu_join_output_instructions +
                                       props.residual_edges *
                                           config_.cpu_predicate_instructions));
+}
 
+PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
+                                   int index_id, bool index_only,
+                                   const JoinProps& props) const {
+  const query::TableRef& tref = query_.refs[right_ref];
+  const catalog::Table& table = catalog_.table(tref.table_id);
+  const catalog::Index& idx = catalog_.index(index_id);
+
+  // The inner is a probe leaf: its usage is charged to the join.
   auto inner = std::make_shared<PlanNode>();
   inner->op = OpType::kIndexScan;
   inner->ref = static_cast<int>(right_ref);
@@ -351,42 +371,49 @@ PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
   inner->id = StrFormat("PROBE(%s.%s%s)", tref.alias.c_str(),
                         idx.name.c_str(), index_only ? ":io" : "");
 
+  auto node =
+      NewJoin(OpType::kIndexNLJoin, std::move(left), std::move(inner), props);
+  ChargeIndexNLJoin(*node->left, right_ref, index_id, index_only, props,
+                    node->usage);
   // Nested loops preserves the outer order.
-  std::vector<query::SortKey> order = left->order;
-  std::string id = StrFormat("INL[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), inner->id.c_str());
-  return FinishJoin(OpType::kIndexNLJoin, std::move(left), std::move(inner),
-                    props, std::move(usage), std::move(order), std::move(id));
+  node->order = node->left->order;
+  return node;
 }
 
-PlanNodePtr CostModel::BlockNLJoin(PlanNodePtr left, PlanNodePtr right,
-                                   const JoinProps& props) const {
-  core::UsageVector usage = left->usage + right->usage;
+void CostModel::ChargeBlockNLJoin(const Input& left, const Input& right,
+                                  const JoinProps& props,
+                                  core::UsageVector& usage) const {
+  usage = left.usage;
+  usage += right.usage;
   const double block_pages = std::max(1.0, config_.sort_heap_pages);
-  const double blocks =
-      std::max(1.0, std::ceil(left->output_pages / block_pages));
+  const double blocks = std::max(1.0, std::ceil(left.pages / block_pages));
 
-  if (right->op == OpType::kSeqScan || right->op == OpType::kIndexScan) {
+  if (right.base_access) {
     // Rescan the base access path (blocks - 1) extra times.
-    usage += right->usage * (blocks - 1.0);
+    for (size_t i = 0; i < usage.size(); ++i) {
+      usage[i] += right.usage[i] * (blocks - 1.0);
+    }
   } else {
     // Materialize the inner once to temp, then scan it per block.
-    const double mat = right->output_pages;
+    const double mat = right.pages;
     const double total = mat + blocks * mat;
     space_.ChargeIo(usage, layout_.TempDevice(),
                     std::max(1.0, total / config_.prefetch_pages), total);
   }
   space_.ChargeCpu(usage,
-                   left->output_rows * right->output_rows *
-                           config_.cpu_predicate_instructions +
+                   left.rows * right.rows * config_.cpu_predicate_instructions +
                        props.output_rows *
                            (config_.cpu_join_output_instructions +
                             props.residual_edges *
                                 config_.cpu_predicate_instructions));
-  std::string id = StrFormat("BNL[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), right->id.c_str());
-  return FinishJoin(OpType::kBlockNLJoin, std::move(left), std::move(right),
-                    props, std::move(usage), {}, std::move(id));
+}
+
+PlanNodePtr CostModel::BlockNLJoin(PlanNodePtr left, PlanNodePtr right,
+                                   const JoinProps& props) const {
+  auto node = NewJoin(OpType::kBlockNLJoin, std::move(left), std::move(right),
+                      props);
+  ChargeBlockNLJoin(*node->left, *node->right, props, node->usage);
+  return node;
 }
 
 PlanNodePtr CostModel::Aggregate(PlanNodePtr child, bool sort_based) const {
@@ -416,8 +443,7 @@ PlanNodePtr CostModel::Aggregate(PlanNodePtr child, bool sort_based) const {
                       std::max(1.0, spill / config_.prefetch_pages), spill);
     }
   }
-  node->id = StrFormat("AGG[%s](%s)", sort_based ? "sort" : "hash",
-                       child->id.c_str());
+  node->sort_based = sort_based;
   node->left = std::move(child);
   return node;
 }

@@ -1,6 +1,7 @@
 #ifndef COSTSENSE_OPT_COST_MODEL_H_
 #define COSTSENSE_OPT_COST_MODEL_H_
 
+#include <memory>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -14,8 +15,10 @@ namespace costsense::opt {
 /// Produces fully-annotated physical plan nodes, charging every operator's
 /// I/O to the right storage device and its CPU work to the CPU resource.
 /// This is where the paper's additive cost model (Section 3.1) is
-/// realized: each constructor accumulates a resource usage vector; total
-/// cost is later priced as U . C for any cost vector C.
+/// realized: each operator accumulates a resource usage vector; total
+/// cost is later priced as U . C for any cost vector C. Join and sort
+/// usage is computed by charge functions, so the enumerator can price a
+/// candidate before (and mostly instead of) building its node.
 ///
 /// Cardinalities of join results are supplied by the enumerator (they are
 /// a function of the covered table set only, mirroring the paper's
@@ -39,6 +42,27 @@ class CostModel {
     int residual_edges = 0;
   };
 
+  /// What a charge function reads of one input: its cumulative usage and
+  /// its size estimates. A built node converts implicitly; the enumerator
+  /// also prices inputs that exist only in its scratch space (a sort it
+  /// has not built, see SortedInput).
+  struct Input {
+    Input(const PlanNode& node)
+        : usage(node.usage),
+          rows(node.output_rows),
+          pages(node.output_pages),
+          base_access(node.op == OpType::kSeqScan ||
+                      node.op == OpType::kIndexScan) {}
+    Input(const core::UsageVector& u, double r, double p)
+        : usage(u), rows(r), pages(p) {}
+
+    const core::UsageVector& usage;
+    double rows = 0.0;
+    double pages = 0.0;
+    /// A base access path, which a nested-loops join can rescan.
+    bool base_access = false;
+  };
+
   /// Full sequential scan of `ref`, applying its local predicates.
   PlanNodePtr SeqScan(size_t ref) const;
 
@@ -49,31 +73,70 @@ class CostModel {
   /// covers the columns the query uses — see IndexCoversRef).
   PlanNodePtr IndexScan(size_t ref, int index_id, bool index_only) const;
 
-  /// Hybrid hash join; builds on `right`. Spills both sides to the temp
+  // Charge functions. Each writes one operator's cumulative usage (its
+  // inputs' usage plus its own I/O and CPU) into the caller-owned `usage`,
+  // reusing its storage. They are the only place an operator's cost
+  // formula lives: the node constructors below call them, so a candidate
+  // priced in scratch space and the node later built for it carry
+  // bitwise-identical usage. `usage` must not alias an input's usage.
+
+  /// Hybrid hash join building on `right`; spills both sides to the temp
   /// device when the build side exceeds memory.
+  void ChargeHashJoin(const Input& left, const Input& right,
+                      const JoinProps& props, core::UsageVector& usage) const;
+
+  /// Sort-merge join of inputs already in the edge's key order.
+  void ChargeSortMergeJoin(const Input& left, const Input& right,
+                           const JoinProps& props,
+                           core::UsageVector& usage) const;
+
+  /// Index nested-loops join: for each outer (left) row, probe `index_id`
+  /// on base reference `right_ref` and fetch matches (no fetch when
+  /// `index_only`).
+  void ChargeIndexNLJoin(const Input& left, size_t right_ref, int index_id,
+                         bool index_only, const JoinProps& props,
+                         core::UsageVector& usage) const;
+
+  /// Block nested-loops join: rescans a base-access inner per outer block,
+  /// or materializes any other inner to the temp device and rescans that.
+  void ChargeBlockNLJoin(const Input& left, const Input& right,
+                         const JoinProps& props,
+                         core::UsageVector& usage) const;
+
+  /// Sorting `child` (whatever its order): in memory, or an external sort
+  /// charging the temp device.
+  void ChargeSort(const Input& child, core::UsageVector& usage) const;
+
+  /// The input Sort(child, keys) presents, without building it: `child`
+  /// itself when its order already satisfies `keys`, else the sorted
+  /// stream charged into `scratch`.
+  Input SortedInput(const PlanNode& child,
+                    const std::vector<query::SortKey>& keys,
+                    core::UsageVector& scratch) const;
+
+  // Node constructors: each charges through its charge function above.
+
+  /// Hash join node; unordered output.
   PlanNodePtr HashJoin(PlanNodePtr left, PlanNodePtr right,
                        const JoinProps& props) const;
 
-  /// Sort-merge join; both inputs must already satisfy the edge's key
-  /// order (the enumerator wraps them in Sort nodes as needed).
+  /// Sort-merge join node; both inputs must already satisfy the edge's key
+  /// order (the enumerator wraps them in Sort nodes as needed). Output
+  /// keeps the merge order.
   PlanNodePtr SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
                             const JoinProps& props) const;
 
-  /// Index nested-loops join: for each outer (left) row, probe
-  /// `index_id` on base reference `right_ref` and fetch matches.
-  /// `index_only` skips data-page fetches when the index covers the
-  /// reference. Preserves the outer order.
+  /// Index nested-loops join node with a PROBE leaf as its inner.
+  /// Preserves the outer order.
   PlanNodePtr IndexNLJoin(PlanNodePtr left, size_t right_ref, int index_id,
                           bool index_only, const JoinProps& props) const;
 
-  /// Block nested-loops join: rescan the inner per outer block. A non-leaf
-  /// inner is first materialized to the temp device and rescanned from
-  /// there.
+  /// Block nested-loops join node; unordered output.
   PlanNodePtr BlockNLJoin(PlanNodePtr left, PlanNodePtr right,
                           const JoinProps& props) const;
 
   /// Sorts `child` on `keys`. Returns `child` unchanged if its order
-  /// already satisfies them; external sorts charge the temp device.
+  /// already satisfies them.
   PlanNodePtr Sort(PlanNodePtr child, std::vector<query::SortKey> keys) const;
 
   /// Aggregation per the query's Aggregation spec. `sort_based` consumes a
@@ -100,14 +163,11 @@ class CostModel {
   const query::Query& query_;
   const catalog::SystemConfig& config_;
 
-  /// Charges an external sort of (rows, pages) into `usage`, returns the
-  /// number of merge passes used (0 for in-memory).
-  int ChargeSort(core::UsageVector& usage, double rows, double pages) const;
-
-  PlanNodePtr FinishJoin(OpType op, PlanNodePtr left, PlanNodePtr right,
-                         const JoinProps& props, core::UsageVector usage,
-                         std::vector<query::SortKey> order,
-                         std::string id) const;
+  /// A join node's shared fields; the caller charges its usage and sets
+  /// its order.
+  std::shared_ptr<PlanNode> NewJoin(OpType op, PlanNodePtr left,
+                                    PlanNodePtr right,
+                                    const JoinProps& props) const;
 };
 
 }  // namespace costsense::opt

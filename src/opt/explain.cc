@@ -45,7 +45,7 @@ std::string Explain(const PlanNode& plan, const query::Query& query) {
 std::string ExplainSummary(const PlanNode& plan,
                            const storage::ResourceSpace& space,
                            const core::CostVector& costs) {
-  std::string out = plan.id;
+  std::string out = PlanId(plan);
   out += StrFormat("\n  total cost: %s\n  usage:",
                    FormatDouble(core::TotalCost(plan.usage, costs)).c_str());
   const auto& dims = space.dim_info();

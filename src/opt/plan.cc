@@ -1,5 +1,8 @@
 #include "opt/plan.h"
 
+#include <string>
+
+#include "common/macros.h"
 #include "common/strings.h"
 
 namespace costsense::opt {
@@ -36,6 +39,46 @@ bool OrderSatisfies(const std::vector<query::SortKey>& produced,
     }
   }
   return true;
+}
+
+namespace {
+
+void AppendPlanId(const PlanNode& node, std::string& out) {
+  if (!node.id.empty()) {
+    out += node.id;
+    return;
+  }
+  COSTSENSE_CHECK(node.left != nullptr);  // leaves always carry their id
+  out += OpTypeName(node.op);
+  switch (node.op) {
+    case OpType::kSort:
+      out += '[';
+      out += KeysToString(node.keys);
+      out += "](";
+      break;
+    case OpType::kAggregate:
+      out += node.sort_based ? "[sort](" : "[hash](";
+      break;
+    default:
+      out += "[e";
+      out += std::to_string(node.join_edge);
+      out += "](";
+      break;
+  }
+  AppendPlanId(*node.left, out);
+  if (node.right) {
+    out += ',';
+    AppendPlanId(*node.right, out);
+  }
+  out += ')';
+}
+
+}  // namespace
+
+std::string PlanId(const PlanNode& node) {
+  std::string out;
+  AppendPlanId(node, out);
+  return out;
 }
 
 std::string KeysToString(const std::vector<query::SortKey>& keys) {

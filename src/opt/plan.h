@@ -57,6 +57,9 @@ struct PlanNode {
 
   /// For kSort / kAggregate: the keys sorted/grouped on.
   std::vector<query::SortKey> keys;
+  /// For kAggregate: consumes a child ordered on the group keys (else hash
+  /// aggregation).
+  bool sort_based = false;
 
   // Annotations.
   /// Bitmask of query refs covered by this subtree.
@@ -69,10 +72,16 @@ struct PlanNode {
   std::vector<query::SortKey> order;
   /// Cumulative resource usage of the subtree (paper Section 3.2).
   core::UsageVector usage;
-  /// Canonical id: equal strings identify equal plans. Computed once at
-  /// construction by the cost model.
+  /// Canonical id: equal strings identify equal plans. Leaves carry it
+  /// from construction. Join, sort and aggregate nodes leave it empty, and
+  /// the optimizer renders it (PlanId) once, on the plan it returns; read
+  /// the id of any other node through PlanId.
   std::string id;
 };
+
+/// The canonical id of the plan rooted at `node`, rendered from the tree:
+/// e.g. "HSJ[e0](SCAN(a),SORT[r1.c0](IXS(b.b_pk)))".
+std::string PlanId(const PlanNode& node);
 
 /// True if stream order `produced` satisfies requirement `required`
 /// (i.e. `required` is a prefix of `produced`).

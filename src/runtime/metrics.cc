@@ -70,4 +70,13 @@ std::string RuntimeMetrics::ToJsonLine(
   return out;
 }
 
+std::string FootprintJsonLine(const std::string& bench_name, size_t threads,
+                              double main_ms, bool quick, int exit_code) {
+  return StrFormat(
+      "{\"bench\":\"%s\",\"threads\":%zu,\"wall_ms\":%.1f,\"main_ms\":%.1f,"
+      "\"quick\":%d,\"exit_code\":%d}\n",
+      bench_name.c_str(), threads, main_ms, main_ms, quick ? 1 : 0,
+      exit_code);
+}
+
 }  // namespace costsense::runtime

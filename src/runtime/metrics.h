@@ -82,6 +82,14 @@ struct RuntimeMetrics {
       const std::vector<std::pair<std::string, double>>& extra = {}) const;
 };
 
+/// The footprint line every bench binary ends with. It carries only what
+/// the bench main measures, e.g.
+///   {"bench":"fig5","threads":4,"wall_ms":812.3,"main_ms":812.3,
+///    "quick":1,"exit_code":0}
+/// (the richer per-figure counters are on the RuntimeMetrics line).
+std::string FootprintJsonLine(const std::string& bench_name, size_t threads,
+                              double main_ms, bool quick, int exit_code);
+
 }  // namespace costsense::runtime
 
 #endif  // COSTSENSE_RUNTIME_METRICS_H_

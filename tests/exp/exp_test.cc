@@ -126,6 +126,20 @@ TEST(FigureRunnerTest, InitialPlanIsAmongCandidates) {
   EXPECT_EQ(analysis->dim_info.size(), 3u);
 }
 
+TEST(FigureRunnerTest, ColdWhiteBoxRunReportsCacheEntries) {
+  // Every miss inserts one entry (quantized keys can collide, and a
+  // bounded cache evicts), so a cold run holds at least one entry and no
+  // more than it missed.
+  const FigureRunner runner(Cat(), LightOptions());
+  const query::Query q = tpch::MakeTpchQuery(Cat(), 11);
+  const auto analysis =
+      runner.Analyze(q, storage::LayoutPolicy::kSharedDevice);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  EXPECT_EQ(analysis->cache_imported, 0u);
+  EXPECT_GT(analysis->cache_entries, 0u);
+  EXPECT_LE(analysis->cache_entries, analysis->cache_misses);
+}
+
 TEST(ReportTest, TablesRender) {
   FigureSeries s;
   s.query_name = "Q1";

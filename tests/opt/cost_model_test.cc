@@ -217,13 +217,19 @@ TEST(CostModelTest, HashJoinSpillsOnlyWhenBuildExceedsMemory) {
     Query q = JoinQuery(cat);
     TiedRig rig(std::move(cat), std::move(q));
     CostModel::JoinProps props{100000.0, 170.0, 0, 0};
-    const PlanNodePtr join = rig.model.HashJoin(
-        rig.model.SeqScan(0), rig.model.SeqScan(1), props);
+    const PlanNodePtr big = rig.model.SeqScan(0);
+    const PlanNodePtr small = rig.model.SeqScan(1);
+    const PlanNodePtr join = rig.model.HashJoin(big, small, props);
     EXPECT_DOUBLE_EQ(join->usage[rig.temp_dim], 0.0) << "build fits";
     // Swap: big build side (3000+ pages) must spill.
-    const PlanNodePtr spilled = rig.model.HashJoin(
-        rig.model.SeqScan(1), rig.model.SeqScan(0), props);
+    const PlanNodePtr spilled = rig.model.HashJoin(small, big, props);
     EXPECT_GT(spilled->usage[rig.temp_dim], 0.0);
+    // The charge function prices either case exactly as the node.
+    core::UsageVector usage;
+    rig.model.ChargeHashJoin(*big, *small, props, usage);
+    EXPECT_EQ(usage, join->usage);
+    rig.model.ChargeHashJoin(*small, *big, props, usage);  // reused scratch
+    EXPECT_EQ(usage, spilled->usage);
   }
 }
 
@@ -245,6 +251,16 @@ TEST(CostModelTest, IndexNLJoinChargesIndexDevicePerProbe) {
   // Nested loops preserves outer order (outer is unordered here).
   EXPECT_EQ(join->order, outer->order);
   EXPECT_EQ(join->output_rows, 1000.0);
+  // The charge function prices plain and index-only probes exactly as
+  // the nodes; index-only skips the data-page fetches.
+  const PlanNodePtr index_only =
+      rig.model.IndexNLJoin(outer, 1, id_index, true, props);
+  core::UsageVector usage;
+  rig.model.ChargeIndexNLJoin(*outer, 1, id_index, false, props, usage);
+  EXPECT_EQ(usage, join->usage);
+  rig.model.ChargeIndexNLJoin(*outer, 1, id_index, true, props, usage);
+  EXPECT_EQ(usage, index_only->usage);
+  EXPECT_LT(index_only->usage[1], join->usage[1]);
 }
 
 TEST(CostModelTest, BlockNLJoinMaterializesNonLeafInner) {
@@ -252,17 +268,22 @@ TEST(CostModelTest, BlockNLJoinMaterializesNonLeafInner) {
   Query q = JoinQuery(cat);
   TiedRig rig(std::move(cat), std::move(q));
   CostModel::JoinProps props{100000.0, 170.0, 0, 0};
+  const PlanNodePtr outer = rig.model.SeqScan(0);
+  const PlanNodePtr leaf = rig.model.SeqScan(1);
   // Leaf inner: rescans the base table, no temp.
-  const PlanNodePtr leaf_inner = rig.model.BlockNLJoin(
-      rig.model.SeqScan(0), rig.model.SeqScan(1), props);
+  const PlanNodePtr leaf_inner = rig.model.BlockNLJoin(outer, leaf, props);
   EXPECT_DOUBLE_EQ(leaf_inner->usage[rig.temp_dim], 0.0);
   // Non-leaf inner (a sort) must materialize to temp.
-  const PlanNodePtr sorted_inner = rig.model.Sort(
-      rig.model.SeqScan(1), {{1, 1}});
+  const PlanNodePtr sorted_inner = rig.model.Sort(leaf, {{1, 1}});
   ASSERT_EQ(sorted_inner->op, OpType::kSort);
-  const PlanNodePtr mat = rig.model.BlockNLJoin(
-      rig.model.SeqScan(0), sorted_inner, props);
+  const PlanNodePtr mat = rig.model.BlockNLJoin(outer, sorted_inner, props);
   EXPECT_GT(mat->usage[rig.temp_dim], 0.0);
+  // The charge function prices both exactly as the nodes.
+  core::UsageVector usage;
+  rig.model.ChargeBlockNLJoin(*outer, *leaf, props, usage);
+  EXPECT_EQ(usage, leaf_inner->usage);
+  rig.model.ChargeBlockNLJoin(*outer, *sorted_inner, props, usage);
+  EXPECT_EQ(usage, mat->usage);
 }
 
 TEST(CostModelTest, SortMergeJoinDeclaresMergeOrder) {
@@ -276,6 +297,50 @@ TEST(CostModelTest, SortMergeJoinDeclaresMergeOrder) {
   ASSERT_EQ(join->order.size(), 1u);
   EXPECT_EQ(join->order[0].ref, 0u);
   EXPECT_EQ(join->order[0].column, 0u);
+}
+
+TEST(CostModelTest, SortMergeJoinChargeEqualsNodeUsage) {
+  // Charge functions are the one place each join's usage is computed, so
+  // pricing in scratch space must give exactly the built node's usage.
+  // Here the merge is priced over sorted inputs that exist only in
+  // scratch space, as the enumerator does, and compared with the built
+  // Sort + merge.
+  const auto check = [](const CostModel& m, const PlanNodePtr& l,
+                        const PlanNodePtr& r) {
+    const std::vector<query::SortKey> lkey = {{0, 0}};
+    const std::vector<query::SortKey> rkey = {{1, 0}};
+    const CostModel::JoinProps props{100000.0, 170.0, 0, 0};
+    core::UsageVector l_sorted;
+    core::UsageVector r_sorted;
+    core::UsageVector usage;
+    m.ChargeSortMergeJoin(m.SortedInput(*l, lkey, l_sorted),
+                          m.SortedInput(*r, rkey, r_sorted), props, usage);
+    EXPECT_EQ(usage,
+              m.SortMergeJoin(m.Sort(l, lkey), m.Sort(r, rkey), props)->usage);
+    return usage;
+  };
+  {  // In-memory sorts of both inputs.
+    catalog::Catalog cat = MakeCatalog();
+    Query q = JoinQuery(cat);
+    TiedRig rig(std::move(cat), std::move(q));
+    const core::UsageVector usage =
+        check(rig.model, rig.model.SeqScan(0), rig.model.SeqScan(1));
+    EXPECT_DOUBLE_EQ(usage[rig.temp_dim], 0.0);
+  }
+  {  // External sorts, and a left input already in key order.
+    catalog::SystemConfig config;
+    config.sort_heap_pages = 10.0;
+    catalog::Catalog cat = MakeCatalog(config);
+    Query q = JoinQuery(cat);
+    TiedRig rig(std::move(cat), std::move(q));
+    const core::UsageVector external =
+        check(rig.model, rig.model.SeqScan(0), rig.model.SeqScan(1));
+    EXPECT_GT(external[rig.temp_dim], 0.0);
+    const PlanNodePtr ordered = rig.model.IndexScan(
+        0, rig.cat.FindIndexByLeadingColumn(0, 0), false);
+    ASSERT_FALSE(ordered->order.empty());
+    check(rig.model, ordered, rig.model.SeqScan(1));
+  }
 }
 
 TEST(CostModelTest, HashAggSpillsWhenGroupsExceedHeap) {
@@ -307,18 +372,60 @@ TEST(CostModelTest, ResidualEdgesAddCpu) {
 }
 
 TEST(CostModelTest, CanonicalIdsDistinguishVariants) {
+  {
+    catalog::Catalog cat = MakeCatalog();
+    Query q = QueryBuilder(cat, "t")
+                  .Table("big", "b")
+                  .Restrict("b", "id", 0.1)
+                  .Project("b", 0.05)
+                  .Build();
+    SplitRig rig(std::move(cat), std::move(q));
+    const int id_index = rig.cat.FindIndexByLeadingColumn(0, 0);
+    EXPECT_NE(rig.model.IndexScan(0, id_index, true)->id,
+              rig.model.IndexScan(0, id_index, false)->id);
+    EXPECT_NE(rig.model.SeqScan(0)->id,
+              rig.model.IndexScan(0, id_index, false)->id);
+  }
+  // Plan ids are what the sensitivity layer sees, so their exact text is
+  // part of the interface: join, sort and aggregate ids are rendered from
+  // the tree (PlanId) and must read exactly as they always have.
   catalog::Catalog cat = MakeCatalog();
   Query q = QueryBuilder(cat, "t")
                 .Table("big", "b")
-                .Restrict("b", "id", 0.1)
-                .Project("b", 0.05)
+                .Table("small", "s")
+                .Join("b", "id", "s", "id")
+                .GroupBy(50, {"b.grp"})
                 .Build();
   SplitRig rig(std::move(cat), std::move(q));
-  const int id_index = rig.cat.FindIndexByLeadingColumn(0, 0);
-  EXPECT_NE(rig.model.IndexScan(0, id_index, true)->id,
-            rig.model.IndexScan(0, id_index, false)->id);
-  EXPECT_NE(rig.model.SeqScan(0)->id,
-            rig.model.IndexScan(0, id_index, false)->id);
+  const CostModel& m = rig.model;
+  const int big_id = rig.cat.FindIndexByLeadingColumn(0, 0);
+  const int small_id = rig.cat.FindIndexByLeadingColumn(1, 0);
+  const CostModel::JoinProps props{1000.0, 170.0, 0, 0};
+  const CostModel::JoinProps cross{1000.0, 170.0, -1, 0};
+  const PlanNodePtr b = m.SeqScan(0);
+  const PlanNodePtr s = m.SeqScan(1);
+  const PlanNodePtr b_ix = m.IndexScan(0, big_id, false);
+  const PlanNodePtr sorted = m.Sort(s, {{1, 0}, {1, 1}});
+  const PlanNodePtr hash = m.HashJoin(b, s, props);
+
+  EXPECT_EQ(PlanId(*b), "SCAN(b)");
+  EXPECT_EQ(PlanId(*b_ix), "IXS(b.big_id)");
+  EXPECT_EQ(PlanId(*m.IndexScan(0, big_id, true)), "IXS(b.big_id:io)");
+  EXPECT_EQ(PlanId(*sorted), "SORT[r1.c0,r1.c1](SCAN(s))");
+  EXPECT_EQ(PlanId(*hash), "HSJ[e0](SCAN(b),SCAN(s))");
+  EXPECT_EQ(PlanId(*m.SortMergeJoin(b_ix, sorted, props)),
+            "SMJ[e0](IXS(b.big_id),SORT[r1.c0,r1.c1](SCAN(s)))");
+  EXPECT_EQ(PlanId(*m.BlockNLJoin(b, sorted, props)),
+            "BNL[e0](SCAN(b),SORT[r1.c0,r1.c1](SCAN(s)))");
+  EXPECT_EQ(PlanId(*m.BlockNLJoin(b, s, cross)), "BNL[e-1](SCAN(b),SCAN(s))");
+  EXPECT_EQ(PlanId(*m.IndexNLJoin(b, 1, small_id, false, props)),
+            "INL[e0](SCAN(b),PROBE(s.small_id))");
+  EXPECT_EQ(PlanId(*m.IndexNLJoin(b, 1, small_id, true, props)),
+            "INL[e0](SCAN(b),PROBE(s.small_id:io))");
+  EXPECT_EQ(PlanId(*m.Aggregate(hash, false)),
+            "AGG[hash](HSJ[e0](SCAN(b),SCAN(s)))");
+  EXPECT_EQ(PlanId(*m.Aggregate(m.Sort(hash, {{0, 1}}), true)),
+            "AGG[sort](SORT[r0.c1](HSJ[e0](SCAN(b),SCAN(s))))");
 }
 
 TEST(PlanTest, OrderSatisfiesPrefixSemantics) {

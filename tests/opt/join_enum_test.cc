@@ -9,6 +9,8 @@
 #include "core/feasible_region.h"
 #include "opt/optimizer.h"
 #include "query/builder.h"
+#include "tpch/queries.h"
+#include "tpch/schema.h"
 
 namespace costsense::opt {
 namespace {
@@ -270,10 +272,31 @@ TEST(JoinEnumTest, NeverBeatenByHandEnumeratedMenu) {
     const double chosen = core::TotalCost((*best)->usage, c);
     for (const PlanNodePtr& candidate : menu) {
       EXPECT_LE(chosen, core::TotalCost(candidate->usage, c) * (1 + 1e-12))
-          << "menu plan " << candidate->id << " beats the DP at trial "
+          << "menu plan " << PlanId(*candidate) << " beats the DP at trial "
           << trial;
     }
   }
+}
+
+TEST(JoinEnumTest, PricesCandidatesBeforeBuildingThem) {
+  // The DP prices every join candidate in scratch space and builds a plan
+  // node only for those that survive the dominance test. On the paper's
+  // 8-table Q8 most candidates are dominated, so far fewer are built than
+  // priced; building every priced candidate would fail this.
+  const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
+  const Query q = tpch::MakeTpchQuery(cat, 8);
+  const StorageLayout layout(LayoutPolicy::kPerTableAndIndex, cat,
+                             query::ReferencedTables(q));
+  const storage::ResourceSpace space = layout.BuildResourceSpace();
+  const CostModel model(cat, layout, space, q);
+  const OptimizerOptions options;
+  JoinEnumerator e(model, cat, options);
+  ASSERT_TRUE(e.BestPlan(space.BaselineCosts()).ok());
+  const JoinEnumerator::Counters& c = e.counters();
+  EXPECT_GT(c.priced, 1000u);
+  EXPECT_LT(c.built * 2, c.priced);
+  EXPECT_LE(c.kept, c.built);
+  EXPECT_GT(c.kept, 0u);
 }
 
 }  // namespace

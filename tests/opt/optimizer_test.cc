@@ -8,6 +8,8 @@
 #include "core/feasible_region.h"
 #include "opt/explain.h"
 #include "query/builder.h"
+#include "tpch/queries.h"
+#include "tpch/schema.h"
 
 namespace costsense::opt {
 namespace {
@@ -296,6 +298,40 @@ TEST(OptimizerTest, ExplainRendersTree) {
   const std::string summary =
       ExplainSummary(*r->plan, rig.space, rig.space.BaselineCosts());
   EXPECT_NE(summary.find("total cost"), std::string::npos);
+}
+
+TEST(OptimizerTest, ZeroCostTiesKeepTheirWinner) {
+  // Under an all-zero cost vector every plan costs 0, so the DP's
+  // insertion order and the final canonical-id tie-break alone pick the
+  // plan. Pinning the winners (bushy enumeration, every layout) pins both.
+  const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
+  const std::pair<int, const char*> pins[] = {
+      {8,
+       "AGG[hash](SMJ[e1](INL[e5](INL[e4](INL[e0](INL[e3](INL[e2](IXS(l.l_"
+       "sk),PROBE(o.o_pk)),PROBE(c.c_pk)),PROBE(p.p_pk)),PROBE(n1.n_pk)),"
+       "PROBE(r.r_pk)),SORT[r2.c0](INL[e6](IXS(n2.n_pk),PROBE(s.s_nk)))))"},
+      {9,
+       "SORT[r5.c1](AGG[hash](INL[e5](INL[e2](INL[e4](INL[e0](INL[e1](IXS(l."
+       "l_sk),PROBE(s.s_pk)),PROBE(p.p_pk)),PROBE(o.o_pk)),PROBE(ps.ps_pk)),"
+       "PROBE(n.n_pk))))"},
+  };
+  for (const auto& [number, id] : pins) {
+    const Query q = tpch::MakeTpchQuery(cat, number);
+    for (LayoutPolicy policy :
+         {LayoutPolicy::kSharedDevice, LayoutPolicy::kPerTableAndIndex,
+          LayoutPolicy::kPerTableColocated}) {
+      const StorageLayout layout(policy, cat, query::ReferencedTables(q));
+      const storage::ResourceSpace space = layout.BuildResourceSpace();
+      const Optimizer optimizer(cat, layout, space);
+      ASSERT_TRUE(optimizer.options().bushy_joins);
+      const Result<Optimized> r =
+          optimizer.Optimize(q, core::CostVector(space.dims()));
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r->total_cost, 0.0);
+      EXPECT_EQ(r->plan->id, id)
+          << q.name << " under " << storage::LayoutPolicyName(policy);
+    }
+  }
 }
 
 }  // namespace

@@ -14,6 +14,9 @@
 #   7  streaming-sink stage failed: figure stdout is not byte-identical
 #      across artifact sink chains, the compressed sidecar is missing,
 #      or the protocol fuzz smoke found a violation
+#   8  optimizer stage failed: micro_optimizer exited nonzero. The stage
+#      only reports (us per DP call, join candidates priced/built/kept
+#      per call); it never gates on timing, which varies across hosts
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
@@ -66,6 +69,10 @@ if [ ! -s "$STREAM_TMP/sidecar.jsonl.z" ]; then
 fi
 "$ROOT/build/tools/fuzz/protocol_fuzz" seed=7 iters=1500 \
   deadline_ms=120000 >/dev/null || exit 7
+
+stage "optimizer (report only: us per call, DP candidates per call)"
+"$ROOT/build/bench/micro_optimizer" --benchmark_filter=BM_OptimizeTpch \
+  --benchmark_min_time=0.05 >&2 || exit 8
 
 if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   stage "sanitizers skipped (COSTSENSE_CI_SKIP_SANITIZERS=1)"
