@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/feasible_region.h"
 #include "core/oracle.h"
-#include "core/plan_matrix.h"
 #include "core/vectors.h"
 
 namespace costsense::runtime {
@@ -48,47 +47,6 @@ struct WorstCaseResult {
   double coverage = 1.0;
 };
 
-/// Vertex-sweep evaluation strategy, selected process-wide via
-/// SetDefaultSweepKernel (engine::Engine::Create installs the
-/// COSTSENSE_KERNEL choice from its typed config; the default is
-/// incremental) or per call via the explicit overloads. All kernels
-/// return identical results — the incremental and simd kernels
-/// re-evaluate candidate record vertices with the scalar kernel before
-/// accepting them — so the knob is a fallback/ablation switch, not a
-/// semantic one.
-enum class SweepKernel {
-  /// Full O(n * d) cost re-derivation at every vertex, in ascending mask
-  /// order (the seed implementation, minus its allocation churn).
-  kScalar,
-  /// Gray-code vertex walk: consecutive vertices differ in one coordinate,
-  /// so all n plan costs update in O(n) via one column axpy. Drift from
-  /// incremental updates is bounded by a full recompute every 64 vertices
-  /// and by exact re-evaluation of any vertex that challenges the record.
-  kIncremental,
-  /// The incremental walk with its screening math (column axpy + running
-  /// minimum, and the periodic full recompute) on the explicit AVX2
-  /// kernels of linalg/simd_kernels.h. Record candidates still go through
-  /// the same exact scalar re-evaluation, so results stay byte-identical.
-  /// On hosts without AVX2 (or builds with COSTSENSE_SIMD=OFF) this
-  /// resolves to kIncremental — see EffectiveSweepKernel. Oracle-backed
-  /// sweeps have no batched plan math to vectorize, so there kSimd and
-  /// kIncremental are the same code path.
-  kSimd,
-};
-
-/// The kernel that will actually run for `requested`: kSimd resolves to
-/// kIncremental when linalg::SimdSweepAvailable() is false (no AVX2 at
-/// runtime, or SIMD compiled out); everything else maps to itself. Benches
-/// and tests use this to label measurements honestly.
-SweepKernel EffectiveSweepKernel(SweepKernel requested);
-
-/// The process-default kernel used by the kernel-less overloads below.
-SweepKernel DefaultSweepKernel();
-
-/// Installs the process-default kernel. Called by engine::Engine::Create;
-/// sweeps already in flight keep the kernel they started with.
-void SetDefaultSweepKernel(SweepKernel kernel);
-
 /// Paper-faithful worst-case analysis (Section 6.1): evaluates the global
 /// relative cost of the plan with usage vector `initial_usage` at *every*
 /// vertex of the feasible box, asking the oracle for the optimal plan's
@@ -108,17 +66,7 @@ void SetDefaultSweepKernel(SweepKernel kernel);
                                                runtime::ThreadPool* pool =
                                                    nullptr);
 
-/// As above with an explicit kernel (tests and ablations; normal callers
-/// use the configured default).
-[[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
-                                               const UsageVector& initial_usage,
-                                               const Box& box,
-                                               SweepKernel kernel,
-                                               size_t max_dims = 20,
-                                               runtime::ThreadPool* pool =
-                                                   nullptr);
-
-/// Fallible-oracle overloads with graceful degradation: a vertex whose
+/// Fallible-oracle overload with graceful degradation: a vertex whose
 /// oracle call errs (after whatever retries the stack performs) is skipped
 /// and counted in failed_vertices / coverage instead of aborting the
 /// sweep. Against an oracle that never errors the result is byte-identical
@@ -136,34 +84,16 @@ void SetDefaultSweepKernel(SweepKernel kernel);
     const Box& box, size_t max_dims = 20, runtime::ThreadPool* pool = nullptr,
     runtime::resilience::SweepCheckpoint* checkpoint = nullptr);
 
-/// As above with an explicit kernel.
-[[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, SweepKernel kernel, size_t max_dims = 20,
-    runtime::ThreadPool* pool = nullptr,
-    runtime::resilience::SweepCheckpoint* checkpoint = nullptr);
-
 /// Worst case over a *known* candidate plan set, by sweeping box vertices
-/// and computing the optimum by dot products (no oracle calls). Exact when
-/// `plans` contains every candidate optimal plan of the region. Fans out
-/// over `pool` when non-null, with serial-identical results.
+/// in ascending mask order and taking the optimum by per-plan TotalCost
+/// (no oracle calls; the lowest plan index wins cost ties). Exact when
+/// `plans` contains every candidate optimal plan of the region. Costs
+/// 2^dims * |plans| dot products, so production callers use the LP below;
+/// this sweep is the Observation-2 reference the LP is tested against.
+/// Fans out over `pool` when non-null, with serial-identical results.
 WorstCaseResult WorstCaseOverPlansByVertices(
     const UsageVector& initial_usage, const std::vector<PlanUsage>& plans,
     const Box& box, runtime::ThreadPool* pool = nullptr);
-
-/// As above with an explicit kernel.
-WorstCaseResult WorstCaseOverPlansByVertices(
-    const UsageVector& initial_usage, const std::vector<PlanUsage>& plans,
-    const Box& box, SweepKernel kernel, runtime::ThreadPool* pool = nullptr);
-
-/// The batched core of WorstCaseOverPlansByVertices: sweeps against a
-/// prebuilt PlanMatrix so repeated sweeps over one plan set (delta sweeps,
-/// benches) skip the flattening cost. The matrix's dims must match the
-/// box.
-WorstCaseResult WorstCaseOverPlanMatrix(const UsageVector& initial_usage,
-                                        const PlanMatrix& plans,
-                                        const Box& box, SweepKernel kernel,
-                                        runtime::ThreadPool* pool = nullptr);
 
 /// Worst case over a known candidate plan set by exact linear-fractional
 /// programming: for each rival plan b, maximize (U0 . C)/(B . C) over the

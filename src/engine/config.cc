@@ -18,7 +18,6 @@ struct Knob {
 
 constexpr Knob kKnobs[] = {
     {"threads", "COSTSENSE_THREADS"},
-    {"kernel", "COSTSENSE_KERNEL"},
     {"quick", "COSTSENSE_QUICK"},
     {"bench_json", "COSTSENSE_BENCH_JSON"},
     {"artifact_json", "COSTSENSE_ARTIFACT_JSON"},
@@ -72,27 +71,6 @@ constexpr Knob kKnobs[] = {
   return Status::Ok();
 }
 
-[[nodiscard]] Status ParseKernel(std::string_view source,
-                                 std::string_view value,
-                                 core::SweepKernel* out) {
-  if (value == "scalar") {
-    *out = core::SweepKernel::kScalar;
-    return Status::Ok();
-  }
-  if (value == "incremental") {
-    *out = core::SweepKernel::kIncremental;
-    return Status::Ok();
-  }
-  if (value == "simd") {
-    // Accepted on every host: the sweep resolves kSimd to the incremental
-    // kernel at run time when AVX2 is unavailable (identical results by
-    // contract), so the knob never needs host-specific validation.
-    *out = core::SweepKernel::kSimd;
-    return Status::Ok();
-  }
-  return BadValue(source, value, "\"scalar\", \"incremental\" or \"simd\"");
-}
-
 [[nodiscard]] Status ParseChain(std::string_view source,
                                 std::string_view value, ArtifactChain* out) {
   if (value == "plain") {
@@ -122,18 +100,6 @@ const char* ChainName(ArtifactChain chain) {
   return "plain";  // unreachable
 }
 
-const char* KernelName(core::SweepKernel kernel) {
-  switch (kernel) {
-    case core::SweepKernel::kScalar:
-      return "scalar";
-    case core::SweepKernel::kIncremental:
-      return "incremental";
-    case core::SweepKernel::kSimd:
-      return "simd";
-  }
-  return "incremental";  // unreachable
-}
-
 /// Quick mode keeps its documented env semantics: any set, non-empty value
 /// other than "0" turns it on ("COSTSENSE_QUICK=1 ./fig5..." and
 /// "COSTSENSE_QUICK=yes" both work; "0" and "" mean off). Never an error.
@@ -151,7 +117,6 @@ bool ParseQuick(std::string_view value) {
     // non-numeric is a typed error, not a silent fallback.
     return ParseSize(source, value, 0, &config->threads);
   }
-  if (key == "kernel") return ParseKernel(source, value, &config->kernel);
   if (key == "quick") {
     config->quick = ParseQuick(value);
     return Status::Ok();
@@ -253,7 +218,6 @@ std::vector<std::pair<std::string, std::string>> EngineConfig::KnobTable()
     const {
   std::vector<std::pair<std::string, std::string>> rows;
   rows.emplace_back("threads", StrFormat("%zu", threads));
-  rows.emplace_back("kernel", KernelName(kernel));
   rows.emplace_back("quick", quick ? "1" : "0");
   rows.emplace_back("bench_json", bench_json_path);
   rows.emplace_back("artifact_json", artifact_json_path);

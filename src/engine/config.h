@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/worst_case.h"
 #include "runtime/oracle_cache.h"
 #include "runtime/oracle_stack.h"
 
@@ -34,9 +33,6 @@ enum class ArtifactChain { kPlain, kBuffered, kCompressed };
 ///
 ///   threads        COSTSENSE_THREADS        integer; 0/unset = hardware
 ///                                           concurrency
-///   kernel         COSTSENSE_KERNEL         "scalar" | "incremental" |
-///                                           "simd" (falls back to
-///                                           incremental without AVX2)
 ///   quick          COSTSENSE_QUICK          unset/""/"0" off, else on
 ///   bench_json     COSTSENSE_BENCH_JSON     perf-JSON append path
 ///   artifact_json  COSTSENSE_ARTIFACT_JSON  structured-artifact sidecar
@@ -70,8 +66,6 @@ enum class ArtifactChain { kPlain, kBuffered, kCompressed };
 struct EngineConfig {
   /// Concurrency level; 0 means hardware concurrency at pool build time.
   size_t threads = 0;
-  /// Vertex-sweep kernel installed as the process default.
-  core::SweepKernel kernel = core::SweepKernel::kIncremental;
   /// Quick mode: representative query subset + light discovery sampling.
   bool quick = false;
   /// Appended with one perf-JSON line per bench run when non-empty.
@@ -119,7 +113,7 @@ struct EngineConfig {
   [[nodiscard]] static Result<EngineConfig> FromEnv();
   [[nodiscard]] static Result<EngineConfig> FromEnv(const EnvLookup& lookup);
 
-  /// Applies one "key=value" override (e.g. "threads=3", "kernel=scalar").
+  /// Applies one "key=value" override (e.g. "threads=3", "quick=1").
   /// Overrides use the same parsers as FromEnv and win over it; unknown
   /// keys and malformed values are kInvalidArgument.
   [[nodiscard]] Status ApplyOverride(std::string_view assignment);

@@ -1,6 +1,7 @@
 // Tests for the paper's Section 6 algorithms: worst-case analysis by
-// vertex sweep and LP, least-squares usage extraction through a narrow
-// interface, and candidate-plan discovery.
+// vertex sweep and LP (with the sweeps pinned to naive references),
+// least-squares usage extraction through a narrow interface, and
+// candidate-plan discovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "core/relative_cost.h"
 #include "core/usage_extraction.h"
 #include "core/worst_case.h"
+#include "runtime/thread_pool.h"
 #include "tests/core/fake_oracle.h"
 
 namespace costsense::core {
@@ -96,6 +98,164 @@ TEST(WorstCaseTest, SweepRefusesHugeDimension) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// The vertex sweeps against naive references. WorstCaseOverPlansByVertices
+// and WorstCaseByVertexSweep are the Observation-2 oracles the LP is checked
+// against, so they are pinned byte for byte (EXPECT_EQ on doubles) to
+// the plainest possible serial scans, serial and pooled.
+
+Box RandomBox(Rng& rng, size_t dims) {
+  CostVector base(dims);
+  for (size_t i = 0; i < dims; ++i) base[i] = rng.LogUniform(0.01, 10.0);
+  return Box::MultiplicativeBand(base, rng.LogUniform(1.5, 100.0));
+}
+
+/// Reference sweep over a known plan set: ascending mask order, per-vertex
+/// dot products, first strict minimum, plus the degenerate-vertex counter.
+WorstCaseResult NaivePlansSweep(const UsageVector& initial,
+                                const std::vector<PlanUsage>& plans,
+                                const Box& box) {
+  WorstCaseResult out;
+  out.worst_costs = box.Center();
+  for (uint64_t mask = 0; mask < box.VertexCount(); ++mask) {
+    const CostVector v = box.Vertex(mask);
+    size_t ci = 0;
+    double cheapest = TotalCost(plans[0].usage, v);
+    for (size_t i = 1; i < plans.size(); ++i) {
+      const double cost = TotalCost(plans[i].usage, v);
+      if (cost < cheapest) {
+        cheapest = cost;
+        ci = i;
+      }
+    }
+    if (cheapest <= 0.0) {
+      ++out.degenerate_vertices;
+      continue;
+    }
+    const double gtc = TotalCost(initial, v) / cheapest;
+    if (gtc > out.gtc) {
+      out.gtc = gtc;
+      out.worst_costs = v;
+      out.worst_rival = plans[ci].plan_id;
+    }
+  }
+  return out;
+}
+
+/// Reference oracle sweep, same shape as above but asking the oracle.
+WorstCaseResult NaiveOracleSweep(PlanOracle& oracle,
+                                 const UsageVector& initial, const Box& box) {
+  WorstCaseResult out;
+  out.worst_costs = box.Center();
+  for (uint64_t mask = 0; mask < box.VertexCount(); ++mask) {
+    const CostVector v = box.Vertex(mask);
+    const OracleResult r = oracle.Optimize(v);
+    if (r.total_cost <= 0.0) {
+      ++out.degenerate_vertices;
+      continue;
+    }
+    const double gtc = TotalCost(initial, v) / r.total_cost;
+    if (gtc > out.gtc) {
+      out.gtc = gtc;
+      out.worst_costs = v;
+      out.worst_rival = r.plan_id;
+    }
+  }
+  return out;
+}
+
+void ExpectSameResult(const WorstCaseResult& want, const WorstCaseResult& got) {
+  EXPECT_EQ(want.gtc, got.gtc);
+  EXPECT_EQ(want.worst_costs, got.worst_costs);
+  EXPECT_EQ(want.worst_rival, got.worst_rival);
+  EXPECT_EQ(want.degenerate_vertices, got.degenerate_vertices);
+}
+
+TEST(VertexSweepTest, PlanSweepMatchesNaiveSerialAndPooled) {
+  Rng rng(123);
+  runtime::ThreadPool pool(3);
+  for (int t = 0; t < 40; ++t) {
+    const size_t dims = 2 + rng.Index(9);  // up to 10 dims = 1024 vertices
+    auto plans = RandomFrontier(rng, dims, 1 + rng.Index(12));
+    // Occasionally add an all-zero plan: its cost is exactly 0 at every
+    // vertex, so the whole sweep is degenerate and must be counted as such.
+    if (t % 7 == 0) {
+      plans.push_back({"zero", UsageVector(dims)});
+    }
+    const Box box = RandomBox(rng, dims);
+    const UsageVector& initial = plans[rng.Index(plans.size())].usage;
+
+    const WorstCaseResult want = NaivePlansSweep(initial, plans, box);
+    if (t % 7 == 0) {
+      EXPECT_EQ(want.degenerate_vertices, box.VertexCount());
+    }
+    ExpectSameResult(want, WorstCaseOverPlansByVertices(initial, plans, box));
+    ExpectSameResult(want,
+                     WorstCaseOverPlansByVertices(initial, plans, box, &pool));
+  }
+}
+
+TEST(VertexSweepTest, PlanSweepMatchesNaiveWithNegativeUsages) {
+  Rng rng(456);
+  runtime::ThreadPool pool(3);
+  for (int t = 0; t < 10; ++t) {
+    const size_t dims = 4 + rng.Index(6);
+    auto plans = RandomFrontier(rng, dims, 2 + rng.Index(10));
+    for (auto& plan : plans) {
+      if (rng.Uniform() < 0.5) {
+        plan.usage[rng.Index(dims)] *= -1.0;
+      }
+    }
+    const Box box = RandomBox(rng, dims);
+    const UsageVector& initial = plans[0].usage;
+    const WorstCaseResult want = NaivePlansSweep(initial, plans, box);
+    ExpectSameResult(want, WorstCaseOverPlansByVertices(initial, plans, box));
+    ExpectSameResult(want,
+                     WorstCaseOverPlansByVertices(initial, plans, box, &pool));
+  }
+}
+
+TEST(VertexSweepTest, EmptyPlanSetKeepsTheDefaultResult) {
+  Rng rng(3);
+  const Box box = RandomBox(rng, 3);
+  const WorstCaseResult r =
+      WorstCaseOverPlansByVertices(UsageVector{1.0, 1.0, 1.0}, {}, box);
+  EXPECT_EQ(r.gtc, 1.0);
+  EXPECT_EQ(r.worst_costs, box.Center());
+  EXPECT_EQ(r.degenerate_vertices, 0u);
+}
+
+TEST(VertexSweepTest, OracleSweepMatchesNaiveSerialAndPooled) {
+  Rng rng(321);
+  runtime::ThreadPool pool(3);
+  for (int t = 0; t < 20; ++t) {
+    const size_t dims = 2 + rng.Index(7);
+    auto plans = RandomFrontier(rng, dims, 2 + rng.Index(6));
+    if (t % 5 == 0) {
+      plans.push_back({"zero", UsageVector(dims)});
+    }
+    const Box box = RandomBox(rng, dims);
+    const UsageVector& initial = plans[0].usage;
+
+    FakeOracle ref_oracle(plans, /*white_box=*/false);
+    const WorstCaseResult want = NaiveOracleSweep(ref_oracle, initial, box);
+
+    FakeOracle serial_oracle(plans, false);
+    const Result<WorstCaseResult> serial =
+        WorstCaseByVertexSweep(serial_oracle, initial, box);
+    ASSERT_TRUE(serial.ok());
+    ExpectSameResult(want, *serial);
+    EXPECT_EQ(serial_oracle.calls(), box.VertexCount());
+
+    FakeOracle pooled_oracle(plans, false);
+    const Result<WorstCaseResult> pooled = WorstCaseByVertexSweep(
+        pooled_oracle, initial, box, /*max_dims=*/20, &pool);
+    ASSERT_TRUE(pooled.ok());
+    ExpectSameResult(want, *pooled);
+    EXPECT_EQ(pooled_oracle.calls(), box.VertexCount());
+  }
 }
 
 TEST(ExtractionTest, RecoversUsageThroughNarrowInterface) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dominance.h"
@@ -87,6 +89,61 @@ TEST(DominanceTest, FilterRemovesDominatedAndDuplicates) {
   EXPECT_EQ(kept[0].plan_id, "a2");
   EXPECT_EQ(kept[1].plan_id, "a3");
   EXPECT_EQ(kept[2].plan_id, "a4");
+
+  // Edge inputs: nothing to filter, and a lone plan that nothing dominates.
+  EXPECT_TRUE(FilterDominated({}, 0.0).empty());
+  const std::vector<PlanUsage> one = {{"solo", UsageVector{1.0, 2.0}}};
+  const std::vector<PlanUsage> solo = FilterDominated(one, 0.0);
+  ASSERT_EQ(solo.size(), 1u);
+  EXPECT_EQ(solo[0].plan_id, "solo");
+
+  // Random inputs seeded with exact duplicates and dominated copies, at
+  // several tolerances. A plan survives iff no other plan dominates it and
+  // no earlier plan equals it; survivors keep their input order and usage.
+  Rng rng(99);
+  for (int t = 0; t < 30; ++t) {
+    const size_t dims = 1 + rng.Index(6);
+    std::vector<PlanUsage> random;
+    const size_t base = 2 + rng.Index(20);
+    for (size_t p = 0; p < base; ++p) {
+      UsageVector u(dims);
+      for (size_t i = 0; i < dims; ++i) {
+        u[i] = rng.Uniform() < 0.2 ? 0.0 : rng.LogUniform(1.0, 1e4);
+      }
+      if (u.Sum() == 0.0) u[0] = 1.0;
+      random.push_back({"p" + std::to_string(p), std::move(u)});
+    }
+    const size_t extras = 1 + rng.Index(4);
+    for (size_t k = 0; k < extras; ++k) {
+      PlanUsage copy = random[rng.Index(base)];
+      copy.plan_id += "_copy" + std::to_string(k);
+      if (rng.Uniform() < 0.5) {
+        // Strictly worse in one coordinate: dominated.
+        copy.usage[rng.Index(dims)] += rng.LogUniform(1.0, 10.0);
+      }
+      random.push_back(std::move(copy));
+    }
+    for (double tol : {0.0, 1e-9, 0.5}) {
+      std::vector<const PlanUsage*> want;
+      for (size_t i = 0; i < random.size(); ++i) {
+        bool eliminated = false;
+        for (size_t j = 0; j < random.size(); ++j) {
+          if (i == j) continue;
+          eliminated = eliminated ||
+                       Dominates(random[j].usage, random[i].usage, tol) ||
+                       (j < i && linalg::ApproxEqual(random[j].usage,
+                                                     random[i].usage, tol));
+        }
+        if (!eliminated) want.push_back(&random[i]);
+      }
+      const std::vector<PlanUsage> got = FilterDominated(random, tol);
+      ASSERT_EQ(got.size(), want.size()) << "tol=" << tol;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].plan_id, want[i]->plan_id);
+        EXPECT_EQ(got[i].usage, want[i]->usage);
+      }
+    }
+  }
 }
 
 TEST(DominanceTest, DominatedPlanNeverOptimal) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/worst_case.h"
 
 namespace costsense::core {
@@ -82,6 +85,36 @@ TEST(RiskTest, DeterministicGivenSeed) {
   ASSERT_TRUE(p1.ok() && p2.ok());
   EXPECT_DOUBLE_EQ(p1->mean_gtc, p2->mean_gtc);
   EXPECT_DOUBLE_EQ(p1->p99, p2->p99);
+}
+
+TEST(RiskTest, ProfileIsPinnedBitForBit) {
+  // Ten plans over five resources with a fixed usage pattern. The expected
+  // fields are exact hexfloats, recorded when the sampling loop still had a
+  // SIMD screening band (which ten plans triggered on AVX2 hosts); the
+  // plain per-plan TotalCost loop must reproduce them bit for bit.
+  std::vector<PlanUsage> plans;
+  for (size_t p = 0; p < 10; ++p) {
+    UsageVector u(5);
+    for (size_t i = 0; i < 5; ++i) {
+      u[i] = static_cast<double>((p * 7 + i * 3) % 11) * 1.5 +
+             0.25 * static_cast<double>(p + 1);
+    }
+    plans.push_back({"p" + std::to_string(p), std::move(u)});
+  }
+  const Box box = Box::MultiplicativeBand(
+      CostVector{1.0, 0.5, 2.0, 0.25, 4.0}, 30.0);
+  Rng rng(2026);
+  const auto profile =
+      ComputeRiskProfile(plans[3].usage, plans, box, rng, 1500);
+  ASSERT_TRUE(profile.ok());
+  EXPECT_EQ(profile->mean_gtc, 0x1.4ee1d285b1fbcp+1);
+  EXPECT_EQ(profile->p50, 0x1.80e901bb5a80cp+0);
+  EXPECT_EQ(profile->p90, 0x1.2ab9a443044b2p+2);
+  EXPECT_EQ(profile->p99, 0x1.38c4142408e36p+4);
+  EXPECT_EQ(profile->max_seen, 0x1.813d18eb3a51fp+5);
+  EXPECT_EQ(profile->prob_suboptimal, 0x1.6ff513cc1e099p-1);
+  EXPECT_EQ(profile->samples, 1500u);
+  EXPECT_EQ(profile->degenerate_samples, 0u);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->threads, 0u);  // 0 = hardware concurrency
-  EXPECT_EQ(config->kernel, core::SweepKernel::kIncremental);
   EXPECT_FALSE(config->quick);
   EXPECT_TRUE(config->bench_json_path.empty());
   EXPECT_TRUE(config->artifact_json_path.empty());
@@ -40,7 +39,6 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
 TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   const std::map<std::string, std::string> env = {
       {"COSTSENSE_THREADS", "3"},
-      {"COSTSENSE_KERNEL", "scalar"},
       {"COSTSENSE_QUICK", "1"},
       {"COSTSENSE_BENCH_JSON", "/tmp/bench.jsonl"},
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
@@ -53,7 +51,6 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->threads, 3u);
-  EXPECT_EQ(config->kernel, core::SweepKernel::kScalar);
   EXPECT_TRUE(config->quick);
   EXPECT_EQ(config->bench_json_path, "/tmp/bench.jsonl");
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
@@ -81,7 +78,6 @@ TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
 TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
   const std::map<std::string, std::string> bad = {
       {"COSTSENSE_THREADS", "banana"},
-      {"COSTSENSE_KERNEL", "vectorized"},
       {"COSTSENSE_ARTIFACT_CHAIN", "zip"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "-2"},
@@ -104,20 +100,27 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
 
 TEST(EngineConfigTest, OverridesWinOverEnvironment) {
   const std::map<std::string, std::string> env = {
-      {"COSTSENSE_THREADS", "2"}, {"COSTSENSE_KERNEL", "incremental"}};
+      {"COSTSENSE_THREADS", "2"}, {"COSTSENSE_QUICK", "1"}};
   Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok());
   EXPECT_TRUE(config->ApplyOverride("threads=5").ok());
-  EXPECT_TRUE(config->ApplyOverride("kernel=scalar").ok());
+  EXPECT_TRUE(config->ApplyOverride("quick=0").ok());
   EXPECT_EQ(config->threads, 5u);
-  EXPECT_EQ(config->kernel, core::SweepKernel::kScalar);
+  EXPECT_FALSE(config->quick);
 }
 
 TEST(EngineConfigTest, OverrideErrorsAreTyped) {
   EngineConfig config;
-  const Status unknown = config.ApplyOverride("bogus=1");
-  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(unknown.message().find("bogus"), std::string::npos);
+  // "kernel" is no longer a knob: a stale kernel= override is an unknown
+  // key like any other.
+  for (const auto& [assignment, key] :
+       std::map<std::string, std::string>{{"bogus=1", "bogus"},
+                                          {"kernel=scalar", "kernel"}}) {
+    const Status unknown = config.ApplyOverride(assignment);
+    EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument) << assignment;
+    EXPECT_NE(unknown.message().find(key), std::string::npos)
+        << unknown.ToString();
+  }
 
   const Status no_eq = config.ApplyOverride("threads");
   EXPECT_EQ(no_eq.code(), StatusCode::kInvalidArgument);
@@ -141,7 +144,6 @@ TEST(EngineConfigTest, IsOverrideRecognizesOnlyKnobKeys) {
 
 void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.kernel, b.kernel);
   EXPECT_EQ(a.quick, b.quick);
   EXPECT_EQ(a.bench_json_path, b.bench_json_path);
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
@@ -158,7 +160,6 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   // and the override parsers from drifting apart.
   EngineConfig original;
   original.threads = 6;
-  original.kernel = core::SweepKernel::kScalar;
   original.quick = true;
   original.bench_json_path = "/tmp/b.jsonl";
   original.artifact_json_path = "/tmp/a.jsonl";
@@ -168,11 +169,10 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   original.fault_rate = 0.125;  // exact in binary, round-trips through %g
   original.max_retries = 9;
 
-  EngineConfig simd = original;
-  simd.kernel = core::SweepKernel::kSimd;
-  simd.artifact_chain = ArtifactChain::kBuffered;
+  EngineConfig buffered = original;
+  buffered.artifact_chain = ArtifactChain::kBuffered;
 
-  for (const EngineConfig& seed : {original, simd, EngineConfig()}) {
+  for (const EngineConfig& seed : {original, buffered, EngineConfig()}) {
     EngineConfig rebuilt;
     for (const auto& [key, value] : seed.KnobTable()) {
       const Status st = rebuilt.ApplyOverride(key + "=" + value);

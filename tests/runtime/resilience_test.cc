@@ -360,28 +360,25 @@ struct SweepFixture {
 
 TEST(FallibleSweepTest, MatchesInfallibleSweepWhenNothingFaults) {
   SweepFixture fx;
-  for (core::SweepKernel kernel :
-       {core::SweepKernel::kScalar, core::SweepKernel::kIncremental}) {
-    for (size_t threads : {size_t{1}, size_t{3}}) {
-      ThreadPool pool(threads);
-      FakeOracle base_a(fx.plans, /*white_box=*/false);
-      const Result<core::WorstCaseResult> want = core::WorstCaseByVertexSweep(
-          base_a, fx.initial, fx.box, kernel, 20, &pool);
-      ASSERT_TRUE(want.ok());
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    ThreadPool pool(threads);
+    FakeOracle base_a(fx.plans, /*white_box=*/false);
+    const Result<core::WorstCaseResult> want = core::WorstCaseByVertexSweep(
+        base_a, fx.initial, fx.box, 20, &pool);
+    ASSERT_TRUE(want.ok());
 
-      FakeOracle base_b(fx.plans, /*white_box=*/false);
-      core::InfallibleOracleAdapter adapter(base_b);
-      const Result<core::WorstCaseResult> got = core::WorstCaseByVertexSweep(
-          adapter, fx.initial, fx.box, kernel, 20, &pool);
-      ASSERT_TRUE(got.ok());
+    FakeOracle base_b(fx.plans, /*white_box=*/false);
+    core::InfallibleOracleAdapter adapter(base_b);
+    const Result<core::WorstCaseResult> got = core::WorstCaseByVertexSweep(
+        adapter, fx.initial, fx.box, 20, &pool);
+    ASSERT_TRUE(got.ok());
 
-      EXPECT_EQ(got->gtc, want->gtc);
-      EXPECT_EQ(got->worst_costs, want->worst_costs);
-      EXPECT_EQ(got->worst_rival, want->worst_rival);
-      EXPECT_EQ(got->failed_vertices, 0u);
-      EXPECT_EQ(got->total_vertices, fx.box.VertexCount());
-      EXPECT_EQ(got->coverage, 1.0);
-    }
+    EXPECT_EQ(got->gtc, want->gtc);
+    EXPECT_EQ(got->worst_costs, want->worst_costs);
+    EXPECT_EQ(got->worst_rival, want->worst_rival);
+    EXPECT_EQ(got->failed_vertices, 0u);
+    EXPECT_EQ(got->total_vertices, fx.box.VertexCount());
+    EXPECT_EQ(got->coverage, 1.0);
   }
 }
 
@@ -395,8 +392,8 @@ TEST(FallibleSweepTest, ZeroBudgetDegradationAccountsEveryFault) {
   retry.max_retries = 0;
   ResilientOracle resilient(injector, retry);
 
-  const Result<core::WorstCaseResult> r = core::WorstCaseByVertexSweep(
-      resilient, fx.initial, fx.box, core::SweepKernel::kScalar, 20);
+  const Result<core::WorstCaseResult> r =
+      core::WorstCaseByVertexSweep(resilient, fx.initial, fx.box, 20);
   ASSERT_TRUE(r.ok());  // degraded, not failed
   const FaultLog log = injector.log();
   EXPECT_GT(r->failed_vertices, 0u);
@@ -412,8 +409,8 @@ TEST(FallibleSweepTest, ZeroBudgetDegradationAccountsEveryFault) {
 TEST(FallibleSweepTest, CheckpointResumeRepaysOnlyFailedBlocks) {
   SweepFixture fx;
   FakeOracle clean(fx.plans, /*white_box=*/false);
-  const Result<core::WorstCaseResult> want = core::WorstCaseByVertexSweep(
-      clean, fx.initial, fx.box, core::SweepKernel::kScalar, 20);
+  const Result<core::WorstCaseResult> want =
+      core::WorstCaseByVertexSweep(clean, fx.initial, fx.box, 20);
   ASSERT_TRUE(want.ok());
 
   FakeOracle base(fx.plans, /*white_box=*/false);
@@ -433,8 +430,7 @@ TEST(FallibleSweepTest, CheckpointResumeRepaysOnlyFailedBlocks) {
   const uint64_t num_blocks =
       (fx.box.VertexCount() + ckpt.block_size() - 1) / ckpt.block_size();
   const Result<core::WorstCaseResult> first = core::WorstCaseByVertexSweep(
-      degraded, fx.initial, fx.box, core::SweepKernel::kScalar, 20,
-      /*pool=*/nullptr, &ckpt);
+      degraded, fx.initial, fx.box, 20, /*pool=*/nullptr, &ckpt);
   ASSERT_TRUE(first.ok());
   EXPECT_LT(first->coverage, 1.0);
   EXPECT_LT(ckpt.blocks(), num_blocks);
@@ -456,8 +452,7 @@ TEST(FallibleSweepTest, CheckpointResumeRepaysOnlyFailedBlocks) {
   const size_t calls_before = base.calls();
   SweepCheckpoint resumed = std::move(loaded).value();
   const Result<core::WorstCaseResult> second = core::WorstCaseByVertexSweep(
-      recovering, fx.initial, fx.box, core::SweepKernel::kScalar, 20,
-      /*pool=*/nullptr, &resumed);
+      recovering, fx.initial, fx.box, 20, /*pool=*/nullptr, &resumed);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->coverage, 1.0);
   EXPECT_EQ(second->gtc, want->gtc);

@@ -478,8 +478,7 @@ std::vector<Finding> AnalyzeSource(const std::string& virtual_path,
   const bool getenv_sanctioned =
       pc.root == PathClass::kSrc && StartsWith(pc.rel, "engine/config.");
   // Per-ISA code is quarantined: only src/linalg/simd* may spell raw
-  // intrinsics; everything else reaches them through the dispatched
-  // linalg/simd_kernels.h API.
+  // intrinsics (no file lives there today).
   const bool intrinsics_sanctioned =
       pc.root == PathClass::kSrc && StartsWith(pc.rel, "linalg/simd");
 
