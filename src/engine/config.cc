@@ -21,7 +21,6 @@ constexpr Knob kKnobs[] = {
     {"quick", "COSTSENSE_QUICK"},
     {"bench_json", "COSTSENSE_BENCH_JSON"},
     {"artifact_json", "COSTSENSE_ARTIFACT_JSON"},
-    {"artifact_chain", "COSTSENSE_ARTIFACT_CHAIN"},
     {"cache_entries", "COSTSENSE_CACHE_ENTRIES"},
     {"cache_shards", "COSTSENSE_CACHE_SHARDS"},
     {"fault_rate", "COSTSENSE_FAULT_RATE"},
@@ -71,35 +70,6 @@ constexpr Knob kKnobs[] = {
   return Status::Ok();
 }
 
-[[nodiscard]] Status ParseChain(std::string_view source,
-                                std::string_view value, ArtifactChain* out) {
-  if (value == "plain") {
-    *out = ArtifactChain::kPlain;
-    return Status::Ok();
-  }
-  if (value == "buffered") {
-    *out = ArtifactChain::kBuffered;
-    return Status::Ok();
-  }
-  if (value == "compressed") {
-    *out = ArtifactChain::kCompressed;
-    return Status::Ok();
-  }
-  return BadValue(source, value, "\"plain\", \"buffered\" or \"compressed\"");
-}
-
-const char* ChainName(ArtifactChain chain) {
-  switch (chain) {
-    case ArtifactChain::kPlain:
-      return "plain";
-    case ArtifactChain::kBuffered:
-      return "buffered";
-    case ArtifactChain::kCompressed:
-      return "compressed";
-  }
-  return "plain";  // unreachable
-}
-
 /// Quick mode keeps its documented env semantics: any set, non-empty value
 /// other than "0" turns it on ("COSTSENSE_QUICK=1 ./fig5..." and
 /// "COSTSENSE_QUICK=yes" both work; "0" and "" mean off). Never an error.
@@ -128,9 +98,6 @@ bool ParseQuick(std::string_view value) {
   if (key == "artifact_json") {
     config->artifact_json_path = std::string(value);
     return Status::Ok();
-  }
-  if (key == "artifact_chain") {
-    return ParseChain(source, value, &config->artifact_chain);
   }
   if (key == "cache_entries") {
     return ParseSize(source, value, 1, &config->cache.max_entries);
@@ -221,7 +188,6 @@ std::vector<std::pair<std::string, std::string>> EngineConfig::KnobTable()
   rows.emplace_back("quick", quick ? "1" : "0");
   rows.emplace_back("bench_json", bench_json_path);
   rows.emplace_back("artifact_json", artifact_json_path);
-  rows.emplace_back("artifact_chain", ChainName(artifact_chain));
   rows.emplace_back("cache_entries", StrFormat("%zu", cache.max_entries));
   rows.emplace_back("cache_shards", StrFormat("%zu", cache.shards));
   rows.emplace_back("fault_rate", StrFormat("%g", fault_rate));

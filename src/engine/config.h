@@ -13,13 +13,6 @@
 
 namespace costsense::engine {
 
-/// How artifact sidecar bytes travel to disk. Every choice produces the
-/// same logical content; "buffered" batches small writes through a
-/// coalescing stage and "compressed" adds the deterministic block
-/// compressor, so the sidecar is a block stream instead of raw JSON
-/// lines (decode with runtime::sink::DecompressBlocks).
-enum class ArtifactChain { kPlain, kBuffered, kCompressed };
-
 /// The one typed run configuration for every costsense entry point.
 ///
 /// This is the only place the COSTSENSE_* environment variables are read
@@ -37,8 +30,6 @@ enum class ArtifactChain { kPlain, kBuffered, kCompressed };
 ///   bench_json     COSTSENSE_BENCH_JSON     perf-JSON append path
 ///   artifact_json  COSTSENSE_ARTIFACT_JSON  structured-artifact sidecar
 ///                                           path (JSON lines)
-///   artifact_chain COSTSENSE_ARTIFACT_CHAIN sidecar sink chain: "plain" |
-///                                           "buffered" | "compressed"
 ///   cache_entries  COSTSENSE_CACHE_ENTRIES  oracle-cache entry bound >= 1
 ///   cache_shards   COSTSENSE_CACHE_SHARDS   oracle-cache shard count >= 1
 ///   fault_rate     COSTSENSE_FAULT_RATE     injected fault rate in [0, 1]
@@ -73,9 +64,6 @@ struct EngineConfig {
   /// Structured artifact sidecar (series/tables/metrics as JSON lines)
   /// written when non-empty; figure stdout is unaffected.
   std::string artifact_json_path;
-  /// Sink chain the sidecar bytes travel through (stdout always goes
-  /// straight to the stream — its bytes are golden-compared).
-  ArtifactChain artifact_chain = ArtifactChain::kPlain;
   /// Memoizing oracle-cache sizing for the per-query stacks.
   runtime::OracleCacheOptions cache;
   /// Resilience budgets for stacks built with the fault tier enabled.

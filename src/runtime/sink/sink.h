@@ -15,7 +15,7 @@ namespace costsense::runtime::sink {
 /// Contract:
 ///
 ///   Write(span)  Appends `span` to the stream. Byte-oriented stages
-///                (buffer, compressor, file) treat the stream as one byte
+///                (string, stdio, file) treat the stream as one byte
 ///                sequence and MUST produce output that depends only on
 ///                the concatenated bytes plus the Flush/Close points,
 ///                never on how writes were chunked. Record-oriented
@@ -33,10 +33,10 @@ namespace costsense::runtime::sink {
 ///
 /// Chains compose by reference: a stage holds `Sink&` to its downstream
 /// neighbour and owns nothing, so a chain is built bottom-up on the stack
-/// (file, then compressor over it, then buffer over that) and torn down
-/// by a single Close on the top stage. Stages are not thread-safe; a
-/// chain belongs to one producer, which is also what keeps the emitted
-/// bytes deterministic.
+/// (an atomic file, then CRC framing over it, as the cache store does)
+/// and torn down by a single Close on the top stage. Stages are not
+/// thread-safe; a chain belongs to one producer, which is also what keeps
+/// the emitted bytes deterministic.
 class Sink {
  public:
   virtual ~Sink() = default;

@@ -11,9 +11,8 @@
 namespace costsense::runtime::sink {
 
 /// Terminal stage: appends every span to a caller-owned string. The
-/// in-memory leaf the tests and the serve v1 path use — a chain ending in
-/// a StringSink proves byte-identity against any other chain ending in a
-/// file or socket.
+/// in-memory leaf behind Dispatcher::Handle, the reference the tests
+/// compare the streamed v2 response against.
 class StringSink final : public Sink {
  public:
   /// `out` must outlive the sink.
@@ -42,28 +41,6 @@ class StdioSink final : public Sink {
 
  private:
   std::FILE* stream_;
-};
-
-/// Bounded coalescing buffer: gathers small writes into `capacity`-byte
-/// batches before forwarding, so a chain that ends in a file or socket
-/// pays one downstream call per batch instead of one per artifact line.
-/// Byte-transparent — the downstream sees the same byte sequence, just
-/// chunked differently, which byte-oriented stages must not care about.
-class BufferSink final : public Sink {
- public:
-  BufferSink(Sink& down, size_t capacity);
-
-  [[nodiscard]] Status Write(std::string_view span) override;
-  [[nodiscard]] Status Flush() override;
-  [[nodiscard]] Status Close() override;
-
- private:
-  [[nodiscard]] Status Drain();
-
-  Sink& down_;
-  const size_t capacity_;
-  std::string buffer_;
-  bool closed_ = false;
 };
 
 /// Record framing: each Write() becomes one downstream record
@@ -141,22 +118,6 @@ class AtomicFileSink final : public Sink {
   int fd_ = -1;
   bool closed_ = false;
   bool failed_ = false;
-};
-
-/// Terminal stage over a connected stream descriptor (the "socket"
-/// stage). Bytes go out with a retrying ::write loop; the descriptor is
-/// borrowed — Close is a flush-level no-op so transport ownership (and
-/// its cross-thread shutdown discipline) stays wherever it already lives.
-class FdSink final : public Sink {
- public:
-  explicit FdSink(int fd) : fd_(fd) {}
-
-  [[nodiscard]] Status Write(std::string_view span) override;
-  [[nodiscard]] Status Flush() override { return Status::Ok(); }
-  [[nodiscard]] Status Close() override { return Status::Ok(); }
-
- private:
-  const int fd_;
 };
 
 }  // namespace costsense::runtime::sink

@@ -192,10 +192,11 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
   for (const core::DiscoveredPlan& dp : d->plans) plans.push_back(dp.plan);
 
   // Each logical piece is one Write: the prologue, then one record per
-  // plan or delta line. Over a StringSink this concatenates into the v1
-  // body; over the v2 record sink each piece is one length-prefixed
-  // record, so a reassembled v2 stream equals the v1 body byte for byte.
-  // The body keeps the v1 stamp under both protocols for that reason.
+  // plan or delta line. Over a StringSink this concatenates into the
+  // Handle() body; over the record sink each piece is one length-prefixed
+  // record, so a reassembled stream equals that body byte for byte. The
+  // "v1" stamp is the body format's revision (kProtocolVersion), not the
+  // wire version.
   Status st = out.Write(StrFormat(
       "costsense-serve v%u %s\n"
       "query=%s policy=%s dims=%zu\n"

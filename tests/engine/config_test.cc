@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace costsense::engine {
 namespace {
@@ -28,7 +30,6 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
   EXPECT_FALSE(config->quick);
   EXPECT_TRUE(config->bench_json_path.empty());
   EXPECT_TRUE(config->artifact_json_path.empty());
-  EXPECT_EQ(config->artifact_chain, ArtifactChain::kPlain);
   EXPECT_EQ(config->cache.shards, runtime::OracleCacheOptions{}.shards);
   EXPECT_EQ(config->cache.max_entries,
             runtime::OracleCacheOptions{}.max_entries);
@@ -42,7 +43,6 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
       {"COSTSENSE_QUICK", "1"},
       {"COSTSENSE_BENCH_JSON", "/tmp/bench.jsonl"},
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
-      {"COSTSENSE_ARTIFACT_CHAIN", "compressed"},
       {"COSTSENSE_CACHE_ENTRIES", "1024"},
       {"COSTSENSE_CACHE_SHARDS", "4"},
       {"COSTSENSE_FAULT_RATE", "0.25"},
@@ -54,11 +54,33 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   EXPECT_TRUE(config->quick);
   EXPECT_EQ(config->bench_json_path, "/tmp/bench.jsonl");
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
-  EXPECT_EQ(config->artifact_chain, ArtifactChain::kCompressed);
   EXPECT_EQ(config->cache.max_entries, 1024u);
   EXPECT_EQ(config->cache.shards, 4u);
   EXPECT_EQ(config->fault_rate, 0.25);
   EXPECT_EQ(config->max_retries, 7u);
+}
+
+TEST(EngineConfigTest, FromEnvReadsOnlyTheKnobVariables) {
+  // FromEnv asks for exactly one variable per KnobTable row, spelled
+  // COSTSENSE_<KEY>, in table order. Any other variable — including the
+  // retired sweep-kernel and sidecar-chain ones — is never read, so
+  // setting it changes nothing and refuses nothing.
+  std::vector<std::string> read;
+  const Result<EngineConfig> config =
+      EngineConfig::FromEnv([&read](const char* name) -> const char* {
+        read.emplace_back(name);
+        return nullptr;
+      });
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  std::vector<std::string> expected;
+  for (const auto& [key, value] : EngineConfig().KnobTable()) {
+    std::string name = "COSTSENSE_" + key;
+    for (char& c : name) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    expected.push_back(name);
+  }
+  EXPECT_EQ(read, expected);
 }
 
 TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
@@ -78,7 +100,6 @@ TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
 TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
   const std::map<std::string, std::string> bad = {
       {"COSTSENSE_THREADS", "banana"},
-      {"COSTSENSE_ARTIFACT_CHAIN", "zip"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "-2"},
       {"COSTSENSE_FAULT_RATE", "1.5"},
@@ -111,11 +132,13 @@ TEST(EngineConfigTest, OverridesWinOverEnvironment) {
 
 TEST(EngineConfigTest, OverrideErrorsAreTyped) {
   EngineConfig config;
-  // "kernel" is no longer a knob: a stale kernel= override is an unknown
-  // key like any other.
+  // "kernel" and "artifact_chain" are no longer knobs: a stale override
+  // of either is an unknown key like any other.
   for (const auto& [assignment, key] :
-       std::map<std::string, std::string>{{"bogus=1", "bogus"},
-                                          {"kernel=scalar", "kernel"}}) {
+       std::map<std::string, std::string>{
+           {"bogus=1", "bogus"},
+           {"kernel=scalar", "kernel"},
+           {"artifact_chain=compressed", "artifact_chain"}}) {
     const Status unknown = config.ApplyOverride(assignment);
     EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument) << assignment;
     EXPECT_NE(unknown.message().find(key), std::string::npos)
@@ -147,7 +170,6 @@ void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.quick, b.quick);
   EXPECT_EQ(a.bench_json_path, b.bench_json_path);
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
-  EXPECT_EQ(a.artifact_chain, b.artifact_chain);
   EXPECT_EQ(a.cache.max_entries, b.cache.max_entries);
   EXPECT_EQ(a.cache.shards, b.cache.shards);
   EXPECT_EQ(a.fault_rate, b.fault_rate);
@@ -163,16 +185,12 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   original.quick = true;
   original.bench_json_path = "/tmp/b.jsonl";
   original.artifact_json_path = "/tmp/a.jsonl";
-  original.artifact_chain = ArtifactChain::kCompressed;
   original.cache.max_entries = 512;
   original.cache.shards = 2;
   original.fault_rate = 0.125;  // exact in binary, round-trips through %g
   original.max_retries = 9;
 
-  EngineConfig buffered = original;
-  buffered.artifact_chain = ArtifactChain::kBuffered;
-
-  for (const EngineConfig& seed : {original, buffered, EngineConfig()}) {
+  for (const EngineConfig& seed : {original, EngineConfig()}) {
     EngineConfig rebuilt;
     for (const auto& [key, value] : seed.KnobTable()) {
       const Status st = rebuilt.ApplyOverride(key + "=" + value);

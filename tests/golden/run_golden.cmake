@@ -7,7 +7,7 @@
 # byte-compares its stdout against the committed expectation. This is the
 # executable form of the engine's central contract: figure/table stdout is
 # a pure function of the experiment, identical across thread counts,
-# artifact chains, cache warmth and (absorbed) faults — stderr carries
+# sidecar output, cache warmth and (absorbed) faults — stderr carries
 # everything else. A mismatch dumps the actual bytes next to the build for
 # diffing.
 if(NOT DEFINED BINARY OR NOT DEFINED EXPECTED)
@@ -26,13 +26,6 @@ if(DEFINED ARTIFACT_JSON)
   file(REMOVE "${ARTIFACT_JSON}")
   set(ENV{COSTSENSE_ARTIFACT_JSON} "${ARTIFACT_JSON}")
 endif()
-# Optionally pick the sidecar sink chain (plain/buffered/compressed). The
-# chain shapes the sidecar file only; the byte-compared stdout must not
-# move, which is exactly what these entries prove.
-if(DEFINED ARTIFACT_CHAIN)
-  set(ENV{COSTSENSE_ARTIFACT_CHAIN} "${ARTIFACT_CHAIN}")
-endif()
-
 # Optionally turn the persistent oracle-cache snapshot on. The binary runs
 # twice from a clean slate: the cold run writes the snapshot, the warm run
 # loads it — and BOTH must produce the committed bytes, which is the

@@ -52,17 +52,6 @@ TEST(ProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(decoded->deltas, request.deltas);
 }
 
-TEST(ProtocolTest, ResponseRoundTrip) {
-  AnalysisResponse response;
-  response.code = StatusCode::kDeadlineExceeded;
-  response.body = "budget spent";
-  const Result<AnalysisResponse> decoded =
-      DecodeResponse(EncodeResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->code, response.code);
-  EXPECT_EQ(decoded->body, response.body);
-}
-
 TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   const std::string good = EncodeRequest(AnalysisRequest{});
 
@@ -78,11 +67,14 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
-  // Wrong version.
-  {
+  // Wrong version, including the retired version byte 1.
+  for (const uint8_t version : {uint8_t{0}, uint8_t{1}, uint8_t{3},
+                                uint8_t{99}}) {
     std::string bad = good;
-    bad[0] = 99;
-    EXPECT_FALSE(DecodeRequest(bad).ok());
+    bad[0] = static_cast<char>(version);
+    const Result<AnalysisRequest> r = DecodeRequest(bad);
+    ASSERT_FALSE(r.ok()) << "version " << static_cast<int>(version);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
   // Unknown analysis kind / policy.
   {
@@ -117,16 +109,8 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   }
 }
 
-TEST(ProtocolTest, ResponseRejectsUnknownCodeAndLengthMismatch) {
-  const std::string good = EncodeResponse(AnalysisResponse{});
-  std::string bad = good;
-  bad[1] = 99;  // past kDeadlineExceeded
-  EXPECT_FALSE(DecodeResponse(bad).ok());
-  EXPECT_FALSE(DecodeResponse(good + "extra").ok());
-}
-
 // ---------------------------------------------------------------------------
-// Protocol v2: explicit feasible-region boxes on the request
+// Explicit feasible-region boxes on the request
 // ---------------------------------------------------------------------------
 
 /// A 3-dim explicit box (matches the kSharedDevice resource space:
@@ -141,15 +125,15 @@ core::Box TestBox() {
 
 TEST(ProtocolV2Test, RequestRoundTripsWithAndWithoutBox) {
   AnalysisRequest request;
-  request.version = kProtocolVersionV2;
   request.kind = AnalysisKind::kWorstCase;
   request.query_number = 6;
   request.deltas = {100.0};
   {
-    const Result<AnalysisRequest> decoded =
-        DecodeRequest(EncodeRequest(request));
+    const std::string encoded = EncodeRequest(request);
+    ASSERT_FALSE(encoded.empty());
+    EXPECT_EQ(static_cast<uint8_t>(encoded[0]), kProtocolVersionV2);
+    const Result<AnalysisRequest> decoded = DecodeRequest(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->version, kProtocolVersionV2);
     EXPECT_EQ(decoded->kind, request.kind);
     EXPECT_FALSE(decoded->box.has_value());
   }
@@ -168,7 +152,6 @@ TEST(ProtocolV2Test, RequestRoundTripsWithAndWithoutBox) {
 
 TEST(ProtocolV2Test, MalformedBoxesAreTypedErrors) {
   AnalysisRequest request;
-  request.version = kProtocolVersionV2;
   request.box = TestBox();
   const std::string good = EncodeRequest(request);
   ASSERT_TRUE(DecodeRequest(good).ok());
@@ -517,7 +500,7 @@ std::vector<AnalysisResponse> RunSession(
   });
   std::vector<AnalysisResponse> responses;
   for (const AnalysisRequest& request : requests) {
-    Result<AnalysisResponse> response = Call(*client, request);
+    Result<AnalysisResponse> response = CallV2(*client, request);
     EXPECT_TRUE(response.ok()) << response.status().ToString();
     responses.push_back(response.ok() ? *response : AnalysisResponse{});
   }
@@ -685,38 +668,71 @@ TEST(SessionTest, MalformedFrameGetsTypedErrorThenClose) {
   options.dispatcher = QuickDispatcherOptions(&pool);
   Server server(options);
 
-  auto [client, server_end] = InProcessTransport::CreatePair();
-  std::unique_ptr<FrameTransport> server_transport = std::move(server_end);
-  std::thread server_thread([&server, &server_transport] {
-    Session session(server, std::move(server_transport));
-    const Status st = session.Run();
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  });
+  // Whatever the first byte claims — garbage, the current version, or the
+  // retired version 1 — an undecodable frame is answered by one lone
+  // status frame (which a fresh reassembler accepts as terminal).
+  std::string v2_garbage = "garbage";
+  v2_garbage[0] = static_cast<char>(kProtocolVersionV2);
+  std::string v1_request = EncodeRequest(TestRequests()[0]);
+  v1_request[0] = 1;
+  for (const std::string& bad : {std::string("not a request"), v2_garbage,
+                                 v1_request}) {
+    auto [client, server_end] = InProcessTransport::CreatePair();
+    std::unique_ptr<FrameTransport> server_transport = std::move(server_end);
+    std::thread server_thread([&server, &server_transport] {
+      Session session(server, std::move(server_transport));
+      const Status st = session.Run();
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    });
 
-  ASSERT_TRUE(client->SendFrame("not a request").ok());
-  Result<std::string> frame = client->RecvFrame();
-  ASSERT_TRUE(frame.ok());
-  const Result<AnalysisResponse> response = DecodeResponse(*frame);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
-  // The session drops the connection after a framing error.
-  EXPECT_EQ(client->RecvFrame().status().code(), StatusCode::kNotFound);
-  server_thread.join();
+    ASSERT_TRUE(client->SendFrame(bad).ok());
+    Result<std::string> reply = client->RecvFrame();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ResponseReassembler reassembler;
+    ASSERT_TRUE(reassembler.Feed(*reply).ok());
+    ASSERT_TRUE(reassembler.done());
+    EXPECT_FALSE(reassembler.has_header());
+    EXPECT_EQ(reassembler.response().code, StatusCode::kInvalidArgument);
+    EXPECT_FALSE(reassembler.response().body.empty());
+    // The session drops the connection after a framing error.
+    EXPECT_EQ(client->RecvFrame().status().code(), StatusCode::kNotFound);
+    server_thread.join();
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Protocol v2 over real sessions
 // ---------------------------------------------------------------------------
 
-TEST(SessionV2Test, StreamedResponsesMatchV1ByteForByte) {
-  // One server, one session, both protocol versions interleaved: for every
-  // request in the mix the reassembled v2 body must equal the v1 body
-  // byte for byte — the frame stream is a transport detail, not part of
-  // the analysis function.
+TEST(SessionV2Test, StreamedResponsesMatchHandleByteForByte) {
+  // One server, one session: for every request in the mix, plus requests
+  // the dispatcher rejects, the reassembled stream must equal the
+  // in-process Server::Handle response (code and body) byte for byte —
+  // the frame stream is a transport detail, not part of the analysis
+  // function.
   runtime::ThreadPool pool(3);
   ServerOptions options;
   options.dispatcher = QuickDispatcherOptions(&pool);
   Server server(options);
+
+  std::vector<AnalysisRequest> requests = TestRequests();
+  // Boxes whose dimension count does not match the 3-dim shared-device
+  // space: typed kInvalidArgument from the dispatcher.
+  const Result<core::Box> narrow = core::Box::Validated(
+      core::CostVector({0.5, 0.25}), core::CostVector({8.0, 16.0}));
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  const Result<core::Box> wide = core::Box::Validated(
+      core::CostVector({0.5, 0.25, 0.125, 1.0}),
+      core::CostVector({8.0, 16.0, 4.0, 2.0}));
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  requests.push_back(MakeRequest(AnalysisKind::kWorstCase,
+                                 storage::LayoutPolicy::kSharedDevice, 6,
+                                 {100.0}));
+  requests.back().box = *narrow;
+  requests.push_back(MakeRequest(AnalysisKind::kGtcSeries,
+                                 storage::LayoutPolicy::kSharedDevice, 1,
+                                 {10.0, 1000.0}));
+  requests.back().box = *wide;
 
   auto [client, server_end] = InProcessTransport::CreatePair();
   std::unique_ptr<FrameTransport> server_transport = std::move(server_end);
@@ -726,16 +742,17 @@ TEST(SessionV2Test, StreamedResponsesMatchV1ByteForByte) {
     EXPECT_TRUE(st.ok()) << st.ToString();
   });
 
-  for (const AnalysisRequest& request : TestRequests()) {
-    const Result<AnalysisResponse> v1 = Call(*client, request);
-    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-    ASSERT_TRUE(v1->ok()) << v1->body;
-    const Result<AnalysisResponse> v2 = CallV2(*client, request);
-    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-    EXPECT_EQ(v2->code, v1->code);
-    EXPECT_EQ(v2->body, v1->body);
-    EXPECT_FALSE(v2->body.empty());
+  size_t errors = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const AnalysisResponse reference = server.Handle(requests[i]);
+    const Result<AnalysisResponse> streamed = CallV2(*client, requests[i]);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed->code, reference.code) << "request " << i;
+    EXPECT_EQ(streamed->body, reference.body) << "request " << i;
+    EXPECT_FALSE(streamed->body.empty()) << "request " << i;
+    if (!reference.ok()) ++errors;
   }
+  EXPECT_EQ(errors, 2u);
   client->Close();
   server_thread.join();
 }
@@ -758,7 +775,6 @@ TEST(SessionV2Test, ExplicitBoxRunsAndDimsMismatchIsTyped) {
   AnalysisRequest request = MakeRequest(
       AnalysisKind::kWorstCase, storage::LayoutPolicy::kSharedDevice, 6,
       {100.0});
-  request.version = kProtocolVersionV2;
   request.box = TestBox();
   const Result<AnalysisResponse> ok = CallV2(*client, request);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -784,37 +800,6 @@ TEST(SessionV2Test, ExplicitBoxRunsAndDimsMismatchIsTyped) {
   EXPECT_EQ(again->body, ok->body);
 
   client->Close();
-  server_thread.join();
-}
-
-TEST(SessionV2Test, MalformedV2FrameGetsLoneStatusFrameThenClose) {
-  runtime::ThreadPool pool(1);
-  ServerOptions options;
-  options.dispatcher = QuickDispatcherOptions(&pool);
-  Server server(options);
-
-  auto [client, server_end] = InProcessTransport::CreatePair();
-  std::unique_ptr<FrameTransport> server_transport = std::move(server_end);
-  std::thread server_thread([&server, &server_transport] {
-    Session session(server, std::move(server_transport));
-    const Status st = session.Run();
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  });
-
-  // First byte 2: the peer was speaking v2, so the error comes back as a
-  // lone v2 status frame (which a fresh reassembler accepts as terminal).
-  std::string garbage = "garbage";
-  garbage[0] = static_cast<char>(kProtocolVersionV2);
-  ASSERT_TRUE(client->SendFrame(garbage).ok());
-  Result<std::string> reply = client->RecvFrame();
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  ResponseReassembler reassembler;
-  ASSERT_TRUE(reassembler.Feed(*reply).ok());
-  ASSERT_TRUE(reassembler.done());
-  EXPECT_EQ(reassembler.response().code, StatusCode::kInvalidArgument);
-  EXPECT_FALSE(reassembler.response().body.empty());
-  // The session drops the connection after a framing error.
-  EXPECT_EQ(client->RecvFrame().status().code(), StatusCode::kNotFound);
   server_thread.join();
 }
 
@@ -853,7 +838,7 @@ TEST(SocketTransportTest, SocketSessionMatchesInProcessBytes) {
 
   Result<std::unique_ptr<SocketTransport>> client = ConnectUnixSocket(path);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  Result<AnalysisResponse> response = Call(**client, request);
+  Result<AnalysisResponse> response = CallV2(**client, request);
   (*client)->Close();
   accept_thread.join();
   (*listener)->Close();
@@ -983,7 +968,7 @@ TEST(ServerWatchdogTest, ReapsOnlySessionsIdlePastTimeout) {
 
   // Activity resets the idle clock: a request stamps the session.
   const Result<AnalysisResponse> response =
-      Call(*session.client, TestRequests()[0]);
+      CallV2(*session.client, TestRequests()[0]);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   clock.Advance(900'000'000);  // 900 ms since the request
   EXPECT_EQ(server.ReapIdleSessions(), 0u);

@@ -514,8 +514,8 @@ TEST(LayeringTest, DeclaredSubdirectoryIsItsOwnLayer) {
   EXPECT_TRUE(CheckIncludeGraph(
                   {{"src/runtime/cache_store.cc",
                     "#include \"runtime/sink/stages.h\"\n"},
-                   {"src/runtime/sink/compress.cc",
-                    "#include \"runtime/sink/sink.h\"\n"}},
+                   {"src/runtime/sink/crc32.cc",
+                    "#include \"runtime/sink/crc32.h\"\n"}},
                   m)
                   .empty());
 }

@@ -1,34 +1,32 @@
 // protocol_fuzz: a seeded, deterministic mutation fuzzer for the
-// costsense-serve wire protocol (versions 1 and 2).
+// costsense-serve wire protocol.
 //
 // One long-lived Server (quick analysis budgets, shared warm oracle
 // cache) receives frames over the in-process transport — byte-for-byte
 // the frames a socket client would send, with no kernel in the loop. Each
-// iteration takes a valid request frame from a small pool (v1 and v2,
-// with and without feasible-region boxes) and either passes it through
+// iteration takes a valid request frame from a small pool (with and
+// without feasible-region boxes) and either passes it through
 // untouched or mutates it: random bit flips, truncation to an arbitrary
 // prefix, a lying delta-count field, splices of two valid frames,
 // trailing junk, pure garbage, an oversized frame past kMaxFrameBytes,
-// or a corrupted v2 box section (flag lies, dimension lies, truncation
+// or a corrupted box section (flag lies, dimension lies, truncation
 // inside the bounds, swapped lower/upper).
 //
 // Three iterations in twenty skip the server and attack the client-side
-// v2 ResponseReassembler instead: a synthetic valid response stream is
+// ResponseReassembler instead: a synthetic valid response stream is
 // truncated at a frame or record boundary, given a lying record length
 // prefix, or spliced with a rogue terminal status frame mid-stream.
 //
 // The invariants asserted, per server frame:
 //   - the server never crashes (any crash fails the run);
-//   - every accepted frame gets exactly one reply that decodes — a v1
-//     response or a v2 frame stream the reassembler accepts — never
-//     silence;
+//   - every accepted frame gets exactly one reply, a frame stream the
+//     reassembler accepts — never silence;
 //   - the client re-runs DecodeRequest on the exact bytes it sent, so it
 //     knows which fate the protocol mandates: an undecodable frame must
-//     come back with the decoder's own status code (as a v1 error
-//     response, or a lone v2 status frame when the version byte claimed
-//     v2) and then a clean close (end of stream, not a hang); a
-//     decodable frame gets an analysis response on a session that stays
-//     open;
+//     come back as a lone status frame with the decoder's own status code
+//     and then a clean close (end of stream, not a hang); a decodable
+//     frame gets a header-first analysis stream on a session that stays
+//     open, and a kOk one carries a non-empty body;
 //   - the whole run finishes before a wall-clock deadline enforced by a
 //     watchdog thread that aborts the process on expiry, so a wedged
 //     Recv can never turn the fuzzer into an infinite hang.
@@ -80,7 +78,7 @@ using serve::AnalysisResponse;
 constexpr size_t kDeltaCountOffset = 13;
 
 /// A valid 3-dimensional feasible-region box (the shared-device cost
-/// space: seek, transfer, cpu). v2 requests carrying it run real
+/// space: seek, transfer, cpu). Requests carrying it run real
 /// explicit-box analyses under kSharedDevice and draw the dispatcher's
 /// typed dimension-mismatch error under kPerTableColocated — both are
 /// protocol-legal outcomes the invariants below accept.
@@ -92,10 +90,10 @@ core::Box FuzzBox() {
 }
 
 /// Builds the pool of valid request frames the mutator draws from: all
-/// three analysis kinds over two layouts and two cheap queries, in both
-/// protocol versions, so pass-through iterations exercise real analyses
-/// (single-payload and streamed) against the shared warm cache without
-/// blowing the smoke-test budget.
+/// three analysis kinds over two layouts and two cheap queries, plus a
+/// worst-case request with an explicit box, so pass-through iterations
+/// exercise real analyses against the shared warm cache without blowing
+/// the smoke-test budget.
 std::vector<std::string> ValidFrames() {
   std::vector<std::string> frames;
   const storage::LayoutPolicy policies[] = {
@@ -120,14 +118,9 @@ std::vector<std::string> ValidFrames() {
       series.deltas = {2.0, 10.0, 100.0};
       frames.push_back(EncodeRequest(series));
 
-      AnalysisRequest v2 = discovery;
-      v2.version = serve::kProtocolVersionV2;
-      frames.push_back(EncodeRequest(v2));
-
-      AnalysisRequest v2_box = worst;
-      v2_box.version = serve::kProtocolVersionV2;
-      v2_box.box = FuzzBox();
-      frames.push_back(EncodeRequest(v2_box));
+      AnalysisRequest boxed = worst;
+      boxed.box = FuzzBox();
+      frames.push_back(EncodeRequest(boxed));
     }
   }
   return frames;
@@ -144,7 +137,7 @@ enum class Mutation : uint64_t {
   kOversized = 7,
   kBoxCorrupt = 8,
   // The remaining classes never reach the server: they attack the
-  // client-side v2 ResponseReassembler with mutated response streams.
+  // client-side ResponseReassembler with mutated response streams.
   kStreamTruncate = 9,
   kStreamLengthLie = 10,
   kStreamRogueStatus = 11,
@@ -252,12 +245,11 @@ std::string Mutate(Mutation mutation, Rng& rng,
     case Mutation::kOversized:
       return std::string(serve::kMaxFrameBytes + 1, 'x');
     case Mutation::kBoxCorrupt: {
-      // A fresh v2 request with one delta and the 3-dim box, then
+      // A fresh request with one delta and the 3-dim box, then
       // targeted surgery on the box section. Offsets: 15 bytes of fixed
       // header + 8 for the single delta put has_box at 23, dims at 24,
       // the six f64 bounds at 26.
       AnalysisRequest request;
-      request.version = serve::kProtocolVersionV2;
       request.kind = AnalysisKind::kWorstCase;
       request.policy = rng.Index(2) == 0
                            ? storage::LayoutPolicy::kSharedDevice
@@ -297,7 +289,7 @@ std::string Mutate(Mutation mutation, Rng& rng,
   return base;
 }
 
-/// A synthetic, valid v2 response stream — header, one to three record
+/// A synthetic, valid response stream — header, one to three record
 /// frames, terminal OK status — plus the concatenated record bytes it
 /// should reassemble to.
 std::vector<std::string> ValidStream(Rng& rng, std::string* body) {
@@ -463,6 +455,98 @@ struct FuzzTally {
   uint64_t streams = 0;  // reassembler streams fuzzed in-process
 };
 
+/// Sends one (possibly mutated) request frame over the live session and
+/// checks the reply against the fate the protocol mandates. Replaces
+/// `session` whenever the server closed it. Returns 0 on pass.
+int FuzzFrame(Mutation mutation, const std::string& frame, uint64_t iter,
+              serve::Server& server, std::unique_ptr<LiveSession>& session,
+              FuzzTally& tally) {
+  // The client knows the bytes it sent, so it can predict the server's
+  // move: an undecodable frame must come back as a lone status frame with
+  // the decoder's exact status code followed by a clean close; a
+  // decodable frame gets a header-first analysis stream (any typed code —
+  // a mutant may still carry an impossible deadline) on a session that
+  // stays open.
+  const Result<AnalysisRequest> predicted = serve::DecodeRequest(frame);
+
+  const Status sent = session->client->SendFrame(frame);
+  if (!sent.ok()) {
+    // The transport itself may reject a frame (oversized) — that must
+    // be a typed error, and the session must stay usable.
+    if (sent.code() != StatusCode::kInvalidArgument) {
+      return Fail(iter, mutation, "send rejected with wrong code", sent);
+    }
+    ++tally.client_rejected;
+    return 0;
+  }
+  ++tally.sent;
+
+  // Every reply is a response frame stream the server must keep
+  // grammatical end to end.
+  serve::ResponseReassembler reassembler;
+  while (!reassembler.done()) {
+    Result<std::string> piece = session->client->RecvFrame();
+    if (!piece.ok()) {
+      // End of stream before the terminal frame: the session's send path
+      // failed after our frame arrived. Anything else is a violation.
+      if (piece.status().code() != StatusCode::kNotFound) {
+        return Fail(iter, mutation, "recv failed", piece.status());
+      }
+      ++tally.eof_after_send;
+      session = std::make_unique<LiveSession>(server);
+      ++tally.sessions;
+      return 0;
+    }
+    const Status fed = reassembler.Feed(*piece);
+    if (!fed.ok()) {
+      return Fail(iter, mutation, "server stream rejected by reassembler",
+                  fed);
+    }
+  }
+  const AnalysisResponse& reply = reassembler.response();
+
+  if (!predicted.ok()) {
+    // Malformed frame: one lone status frame mirroring the decoder's own
+    // verdict, then the session drops the connection: the next recv must
+    // be a clean end of stream, then we reconnect.
+    ++tally.typed_errors;
+    if (reassembler.has_header()) {
+      return Fail(iter, mutation,
+                  "bad frame not answered by a lone status frame",
+                  predicted.status());
+    }
+    if (reply.code != predicted.status().code()) {
+      return Fail(iter, mutation, "wrong error code for bad frame",
+                  predicted.status());
+    }
+    const Result<std::string> eof = session->client->RecvFrame();
+    if (eof.ok() || eof.status().code() != StatusCode::kNotFound) {
+      return Fail(iter, mutation, "no clean close after error",
+                  eof.ok() ? Status::Ok() : eof.status());
+    }
+    session = std::make_unique<LiveSession>(server);
+    ++tally.sessions;
+    return 0;
+  }
+
+  // Valid request: the stream opens with a header, carries whatever typed
+  // code the analysis produced, and the session stays open for the next
+  // frame. kOk responses must carry the rendered analysis.
+  if (!reassembler.has_header()) {
+    return Fail(iter, mutation, "valid request answered without a header",
+                Status(reply.code, reply.body));
+  }
+  if (!reply.ok()) {
+    ++tally.typed_errors;
+    return 0;
+  }
+  ++tally.ok_responses;
+  if (reply.body.empty()) {
+    return Fail(iter, mutation, "empty success body", Status::Ok());
+  }
+  return 0;
+}
+
 int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
   // Watchdog: the whole run must finish before the deadline. A server
   // that swallows a frame without responding would park the fuzzer in
@@ -509,161 +593,18 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
     if (IsStreamMutation(mutation)) {
       exit_code = FuzzStream(mutation, rng, iter);
       ++tally.streams;
-      continue;
-    }
-    const std::string frame = Mutate(mutation, rng, pool_frames);
-    if (verbose) {
-      std::fprintf(stderr, "protocol_fuzz: iter=%llu %s len=%zu ",
-                   static_cast<unsigned long long>(iter),
-                   MutationName(mutation), frame.size());
-      for (size_t i = 0; i < frame.size() && i < 64; ++i) {
-        std::fprintf(stderr, "%02x", static_cast<uint8_t>(frame[i]));
-      }
-      std::fprintf(stderr, "\n");
-    }
-
-    // The client knows the bytes it sent, so it can predict the server's
-    // move: an undecodable frame must come back as a typed error with
-    // the decoder's exact status code followed by a clean close; a
-    // decodable frame gets an analysis response (any typed code — a
-    // mutant may still carry an impossible deadline) on a session that
-    // stays open.
-    const Result<AnalysisRequest> predicted = serve::DecodeRequest(frame);
-
-    const Status sent = session->client->SendFrame(frame);
-    if (!sent.ok()) {
-      // The transport itself may reject a frame (oversized) — that must
-      // be a typed error, and the session must stay usable.
-      if (sent.code() != StatusCode::kInvalidArgument) {
-        exit_code = Fail(iter, mutation, "send rejected with wrong code", sent);
-        break;
-      }
-      ++tally.client_rejected;
-      continue;
-    }
-    ++tally.sent;
-
-    if (predicted.ok() && predicted->version >= serve::kProtocolVersionV2) {
-      // Decodable v2 request: the reply is a frame stream the server
-      // must keep grammatical end to end — header first, records, one
-      // terminal status — on a session that stays open.
-      serve::ResponseReassembler reassembler;
-      bool settled = false;
-      while (!reassembler.done()) {
-        Result<std::string> piece = session->client->RecvFrame();
-        if (!piece.ok()) {
-          if (piece.status().code() != StatusCode::kNotFound) {
-            exit_code =
-                Fail(iter, mutation, "recv failed mid-stream", piece.status());
-          } else {
-            // End of stream before the terminal frame: the session's
-            // send path failed. Reconnect, like the v1 eof case.
-            ++tally.eof_after_send;
-            session = std::make_unique<LiveSession>(server);
-            ++tally.sessions;
-          }
-          settled = true;
-          break;
-        }
-        const Status fed = reassembler.Feed(*piece);
-        if (!fed.ok()) {
-          exit_code = Fail(iter, mutation,
-                           "server stream rejected by reassembler", fed);
-          settled = true;
-          break;
-        }
-      }
-      if (settled) continue;
-      const AnalysisResponse& streamed = reassembler.response();
-      if (streamed.ok()) {
-        ++tally.ok_responses;
-        if (streamed.body.empty()) {
-          exit_code = Fail(iter, mutation, "empty success body", Status::Ok());
-        }
-      } else {
-        ++tally.typed_errors;
-      }
-      continue;
-    }
-
-    Result<std::string> reply = session->client->RecvFrame();
-    if (!reply.ok()) {
-      // End of stream without a response frame: the session send path
-      // failed after our frame arrived. Anything else is a violation.
-      if (reply.status().code() != StatusCode::kNotFound) {
-        exit_code = Fail(iter, mutation, "recv failed", reply.status());
-        break;
-      }
-      ++tally.eof_after_send;
-      session = std::make_unique<LiveSession>(server);
-      ++tally.sessions;
-      continue;
-    }
-
-    if (!predicted.ok()) {
-      // Malformed frame: the typed error must mirror the decoder's own
-      // verdict — as a lone v2 status frame when the version byte
-      // claimed v2, as a v1 error response otherwise — and the session
-      // drops the connection: the next recv must be a clean end of
-      // stream, then we reconnect.
-      ++tally.typed_errors;
-      StatusCode replied;
-      if (!frame.empty() &&
-          static_cast<uint8_t>(frame[0]) == serve::kProtocolVersionV2) {
-        serve::ResponseReassembler reassembler;
-        const Status fed = reassembler.Feed(*reply);
-        if (!fed.ok() || !reassembler.done()) {
-          exit_code = Fail(iter, mutation,
-                           "bad v2 frame not answered by a lone status frame",
-                           fed.ok() ? Status::Ok() : fed);
-          break;
-        }
-        replied = reassembler.response().code;
-      } else {
-        const Result<AnalysisResponse> response =
-            serve::DecodeResponse(*reply);
-        if (!response.ok()) {
-          exit_code =
-              Fail(iter, mutation, "undecodable response", response.status());
-          break;
-        }
-        replied = response->code;
-      }
-      if (replied != predicted.status().code()) {
-        exit_code = Fail(iter, mutation, "wrong error code for bad frame",
-                         predicted.status());
-        break;
-      }
-      const Result<std::string> eof = session->client->RecvFrame();
-      if (eof.ok() || eof.status().code() != StatusCode::kNotFound) {
-        exit_code = Fail(iter, mutation, "no clean close after error",
-                         eof.ok() ? Status::Ok() : eof.status());
-        break;
-      }
-      session = std::make_unique<LiveSession>(server);
-      ++tally.sessions;
-      continue;
-    }
-
-    // Valid v1 request: the single response carries whatever typed code
-    // the analysis produced and the session must stay open for the next
-    // frame. kOk responses must carry the rendered analysis.
-    const Result<AnalysisResponse> response = serve::DecodeResponse(*reply);
-    if (!response.ok()) {
-      // The server's response bytes must always decode — a malformed
-      // *response* is a server bug regardless of what we sent.
-      exit_code =
-          Fail(iter, mutation, "undecodable response", response.status());
-      break;
-    }
-    if (response->ok()) {
-      ++tally.ok_responses;
-      if (response->body.empty()) {
-        exit_code = Fail(iter, mutation, "empty success body", Status::Ok());
-        break;
-      }
     } else {
-      ++tally.typed_errors;
+      const std::string frame = Mutate(mutation, rng, pool_frames);
+      if (verbose) {
+        std::fprintf(stderr, "protocol_fuzz: iter=%llu %s len=%zu ",
+                     static_cast<unsigned long long>(iter),
+                     MutationName(mutation), frame.size());
+        for (size_t i = 0; i < frame.size() && i < 64; ++i) {
+          std::fprintf(stderr, "%02x", static_cast<uint8_t>(frame[i]));
+        }
+        std::fprintf(stderr, "\n");
+      }
+      exit_code = FuzzFrame(mutation, frame, iter, server, session, tally);
     }
     if (verbose && (iter + 1) % 1000 == 0) {
       std::fprintf(stderr, "protocol_fuzz: %llu/%llu iterations\n",
