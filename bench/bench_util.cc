@@ -6,6 +6,7 @@
 
 #include "exp/report.h"
 #include "runtime/cache_store.h"
+#include "runtime/sink/stages.h"
 #include "runtime/thread_pool.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -34,17 +35,18 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config) {
 namespace {
 
 /// Writes one JSON line to stderr and appends it to
-/// config.bench_json_path when set.
+/// config.bench_json_path when set, through an append FileSink as
+/// TextRenderer::WriteRunMetrics does. Best-effort: an unwritable path
+/// never fails a run.
 void EmitJsonLine(const engine::EngineConfig& config,
                   const std::string& line) {
   std::fputs(line.c_str(), stderr);
-  if (!config.bench_json_path.empty()) {
-    std::FILE* f = std::fopen(config.bench_json_path.c_str(), "a");
-    if (f != nullptr) {
-      std::fputs(line.c_str(), f);
-      std::fclose(f);
-    }
-  }
+  if (config.bench_json_path.empty()) return;
+  runtime::sink::FileSink file(config.bench_json_path,
+                               runtime::sink::FileSink::Mode::kAppend);
+  Status st = file.Write(line);
+  if (st.ok()) st = file.Close();
+  (void)st.ok();
 }
 
 }  // namespace
@@ -58,10 +60,8 @@ void EmitBenchJson(const engine::EngineConfig& config,
 
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
     engine::Engine& eng, const std::string& title,
-    const std::string& bench_name, storage::LayoutPolicy policy,
-    const exp::FigureRunner::Options::Resilience* resilience) {
+    const std::string& bench_name, storage::LayoutPolicy policy) {
   FigureBenchConfig config = MakeFigureBenchConfig(eng.config());
-  if (resilience != nullptr) config.options.resilience = *resilience;
 
   // Optional persisted oracle cache: load the snapshot (or cold-start on
   // corruption/mismatch, with typed telemetry), warm every per-query
@@ -93,7 +93,6 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   // Phase 2 — series: pure geometry (per-rival fractional programs).
   timer.Restart();
   size_t oracle_calls = 0;
-  size_t probe_calls = 0;
   size_t cache_imported = 0;
   std::vector<exp::FigureSeries> all;
   for (size_t i = 0; i < analyses.size(); ++i) {
@@ -122,20 +121,9 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
     metrics.cache_entries += analysis->cache_entries;
     metrics.cache_evictions += analysis->cache_evictions;
     cache_imported += analysis->cache_imported;
-    probe_calls += analysis->oracle_probe_calls;
-    metrics.oracle_attempts += analysis->oracle_attempts;
-    metrics.oracle_retries += analysis->oracle_retries;
-    metrics.oracle_failures += analysis->oracle_failures;
-    metrics.faults_injected += analysis->faults_injected;
-    metrics.degraded_points += analysis->degraded_points;
     all.push_back(*series);
   }
   metrics.phase_wall_ms.emplace_back("series", timer.ElapsedMs());
-  if (probe_calls > 0) {
-    metrics.coverage = static_cast<double>(probe_calls -
-                                           metrics.oracle_failures) /
-                       static_cast<double>(probe_calls);
-  }
 
   const runtime::PoolStats pool_stats = pool.stats();
   metrics.tasks_run = pool_stats.tasks_run;
@@ -216,8 +204,8 @@ int RunBenchMain(int argc, char** argv, const std::string& name,
 
   // The uniform footprint line: every binary reports wall time, thread
   // count, mode and exit code machine-readably, even the ones with
-  // bespoke stdout. Richer per-figure lines (cache/resilience counters)
-  // are emitted separately by RunWorstCaseFigure and friends.
+  // bespoke stdout. Richer per-figure lines (cache counters) are emitted
+  // separately by RunWorstCaseFigure and friends.
   EmitJsonLine(eng->config(),
                runtime::FootprintJsonLine(name, runtime::GlobalThreadCount(),
                                           timer.ElapsedMs(),

@@ -29,8 +29,9 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config);
 
 /// Emits one machine-readable JSON line for a bench run: always to
 /// stderr, and appended to config.bench_json_path when non-empty (e.g.
-/// BENCH_fig6.json), so successive PRs can track the perf trajectory.
-/// `extra` adds numeric fields.
+/// BENCH_fig6.json) through an append runtime::sink::FileSink, so
+/// successive runs can track the perf trajectory. Best-effort: an
+/// unwritable path never fails the run. `extra` adds numeric fields.
 void EmitBenchJson(
     const engine::EngineConfig& config, const std::string& bench_name,
     const runtime::RuntimeMetrics& metrics,
@@ -43,18 +44,11 @@ void EmitBenchJson(
 /// stdout). Output goes through the engine's artifact sinks: table and
 /// CSV on stdout, progress/metrics/perf-JSON on stderr, plus the
 /// structured JSON sidecar when configured. Returns the computed series
-/// for further use.
-///
-/// When `resilience` is non-null the per-query oracle stacks run behind
-/// the fault-injection + retry tier with that configuration; the
-/// aggregated attempt/retry/failure/degraded counters land in the emitted
-/// RuntimeMetrics. With fault bursts the retry budget absorbs, stdout is
-/// byte-identical to a fault-free run — the fault-sweep harness asserts
-/// exactly that.
+/// for further use. The figures run fault-free; bench/fault_sweep drives
+/// FigureRunner with the fault tier directly.
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
     engine::Engine& eng, const std::string& title,
-    const std::string& bench_name, storage::LayoutPolicy policy,
-    const exp::FigureRunner::Options::Resilience* resilience = nullptr);
+    const std::string& bench_name, storage::LayoutPolicy policy);
 
 /// The one main() behind every bench binary. Reads the engine config from
 /// the environment, applies any key=value overrides from argv (overrides
@@ -66,7 +60,7 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
 /// the bench.
 ///
 /// After the body returns, one uniform perf-JSON line is emitted (stderr
-/// + config.bench_json_path) carrying the total wall time, thread count,
+/// + config.bench_json_path, the same path as EmitBenchJson) carrying the total wall time, thread count,
 /// quick flag, and the body's exit code — so every binary, including the
 /// ones with bespoke output, reports a machine-readable footprint.
 int RunBenchMain(int argc, char** argv, const std::string& name,

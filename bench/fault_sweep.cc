@@ -5,8 +5,15 @@
 // CSV, discovered plan ids) is byte-identical to a fault-free run at
 // thread counts 1 and 3. A final run at 20% faults with a zero retry
 // budget must still complete, with the driver-side degraded counts
-// reconciling exactly against the injector's own fault log. One JSON perf
-// line per configuration lands on stderr / COSTSENSE_BENCH_JSON.
+// reconciling exactly against the injector's own fault log.
+//
+// Faulted and fault-free runs go through the same FigureRunner::Analyze;
+// only FigureRunner::Options::resilience decides which top the per-query
+// oracle stack gets. This harness is the one caller that turns the fault
+// tier on, and its 3-thread runs are the only place that tier meets
+// AnalyzeMany's fan-out, so ctest also runs it under TSan (label
+// concurrency). One JSON perf line per configuration lands on stderr /
+// COSTSENSE_BENCH_JSON.
 //
 // Exit status 0 means every assertion held.
 #include <cstdio>

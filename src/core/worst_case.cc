@@ -9,7 +9,6 @@
 #include "common/strings.h"
 #include "core/relative_cost.h"
 #include "lp/fractional.h"
-#include "runtime/resilience/checkpoint.h"
 #include "runtime/thread_pool.h"
 
 namespace costsense::core {
@@ -22,8 +21,6 @@ struct ChunkBest {
   std::string rival;
   bool any = false;
   size_t degenerate = 0;
-  /// Vertices skipped because the (fallible) oracle erred there.
-  size_t failed = 0;
 };
 
 /// The serial sweep's selection rule, made order-free: a strictly larger
@@ -70,16 +67,14 @@ void WarnDegenerateOnce(size_t skipped) {
 /// Merges per-chunk bests into the final result. Matches the serial rule:
 /// the result only moves off its gtc=1.0 default for a strictly larger
 /// value, and equal-gtc chunks resolve to the lowest vertex mask.
-WorstCaseResult MergeChunks(const Box& box, const std::vector<ChunkBest>& best,
-                            uint64_t total_vertices) {
+WorstCaseResult MergeChunks(const Box& box,
+                            const std::vector<ChunkBest>& best) {
   WorstCaseResult out;
   out.worst_costs = box.Center();
-  out.total_vertices = total_vertices;
   bool have = false;
   uint64_t best_mask = 0;
   for (const ChunkBest& b : best) {
     out.degenerate_vertices += b.degenerate;
-    out.failed_vertices += b.failed;
     if (!b.any) continue;
     const bool better =
         b.gtc > out.gtc || (have && b.gtc == out.gtc && b.mask < best_mask);
@@ -91,10 +86,6 @@ WorstCaseResult MergeChunks(const Box& box, const std::vector<ChunkBest>& best,
     }
   }
   if (have) box.VertexInto(best_mask, out.worst_costs);
-  if (total_vertices > 0) {
-    out.coverage = static_cast<double>(total_vertices - out.failed_vertices) /
-                   static_cast<double>(total_vertices);
-  }
   WarnDegenerateOnce(out.degenerate_vertices);
   return out;
 }
@@ -117,36 +108,6 @@ ChunkBest OracleChunk(PlanOracle& oracle, const UsageVector& initial,
       b.gtc = gtc;
       b.mask = mask;
       b.rival = r.plan_id;
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-/// Fallible twin of OracleChunk: an erring vertex is counted and skipped;
-/// the clean vertices are evaluated exactly as the infallible sweep does,
-/// so a zero-failure chunk is byte-identical to it.
-ChunkBest FallibleOracleChunk(FalliblePlanOracle& oracle,
-                              const UsageVector& initial, const Box& box,
-                              uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  CostVector v(box.dims());
-  for (uint64_t mask = lo; mask < hi; ++mask) {
-    box.VertexInto(mask, v);
-    const Result<OracleResult> r = oracle.TryOptimize(v);
-    if (!r.ok()) {
-      ++b.failed;
-      continue;
-    }
-    if (r->total_cost <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / r->total_cost;
-    if (BeatsIncumbent(b, gtc, mask)) {
-      b.gtc = gtc;
-      b.mask = mask;
-      b.rival = r->plan_id;
       b.any = true;
     }
   }
@@ -205,73 +166,7 @@ Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
     return Status::Ok();
   });
   COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  return MergeChunks(box, best, vertices);
-}
-
-Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, size_t max_dims, runtime::ThreadPool* pool,
-    runtime::resilience::SweepCheckpoint* checkpoint) {
-  if (box.dims() != initial_usage.size()) {
-    return Status::InvalidArgument("usage vector dims do not match box");
-  }
-  if (box.dims() > max_dims) {
-    return Status::FailedPrecondition(StrFormat(
-        "vertex sweep over %zu dims needs 2^%zu oracle calls; use the LP "
-        "method instead",
-        box.dims(), box.dims()));
-  }
-  const uint64_t vertices = box.VertexCount();
-
-  if (checkpoint == nullptr) {
-    const auto chunks = VertexChunks(vertices, pool);
-    std::vector<ChunkBest> best(chunks.size());
-    const Status pool_status =
-        runtime::ForEachIndex(pool, chunks.size(), [&](size_t k) {
-      best[k] = FallibleOracleChunk(oracle, initial_usage, box,
-                                    chunks[k].first, chunks[k].second);
-      return Status::Ok();
-    });
-    COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-    return MergeChunks(box, best, vertices);
-  }
-
-  // Checkpointed path: the sweep runs on the checkpoint's fixed block grid
-  // rather than the pool-sized chunking, so stored blocks line up across
-  // runs at any thread count. Each stored block replaces its oracle calls
-  // with the recorded reduction; each freshly-clean block is recorded for
-  // the next attempt.
-  const uint64_t block_size = checkpoint->block_size();
-  const uint64_t num_blocks = (vertices + block_size - 1) / block_size;
-  std::vector<ChunkBest> best(num_blocks);
-  const Status pool_status =
-      runtime::ForEachIndex(pool, num_blocks, [&](size_t k) {
-    const uint64_t lo = static_cast<uint64_t>(k) * block_size;
-    const uint64_t hi = std::min(vertices, lo + block_size);
-    runtime::resilience::SweepBlockResult stored;
-    if (checkpoint->Lookup(k, &stored)) {
-      ChunkBest& b = best[k];
-      b.gtc = stored.gtc;
-      b.mask = stored.mask;
-      b.rival = stored.rival;
-      b.any = stored.any;
-      b.degenerate = stored.degenerate;
-      return Status::Ok();
-    }
-    best[k] = FallibleOracleChunk(oracle, initial_usage, box, lo, hi);
-    if (best[k].failed == 0) {
-      runtime::resilience::SweepBlockResult r;
-      r.gtc = best[k].gtc;
-      r.mask = best[k].mask;
-      r.rival = best[k].rival;
-      r.any = best[k].any;
-      r.degenerate = best[k].degenerate;
-      checkpoint->Store(k, std::move(r));
-    }
-    return Status::Ok();
-  });
-  COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  return MergeChunks(box, best, vertices);
+  return MergeChunks(box, best);
 }
 
 WorstCaseResult WorstCaseOverPlansByVertices(const UsageVector& initial_usage,
@@ -295,7 +190,7 @@ WorstCaseResult WorstCaseOverPlansByVertices(const UsageVector& initial_usage,
     return Status::Ok();
   });
   COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  return MergeChunks(box, best, vertices);
+  return MergeChunks(box, best);
 }
 
 // GCC 12 falsely reports free-nonheap-object when the Result<T> variant's

@@ -13,10 +13,6 @@ namespace costsense::runtime {
 class ThreadPool;
 }  // namespace costsense::runtime
 
-namespace costsense::runtime::resilience {
-class SweepCheckpoint;
-}  // namespace costsense::runtime::resilience
-
 namespace costsense::core {
 
 /// Result of a worst-case global-relative-cost analysis for one initial
@@ -36,15 +32,6 @@ struct WorstCaseResult {
   /// zero estimate). Nonzero counts are also warned once to stderr; the
   /// reported maximum covers only the remaining vertices.
   size_t degenerate_vertices = 0;
-  /// Vertex coverage accounting. `total_vertices` is the sweep's intended
-  /// vertex count; `failed_vertices` is how many the fallible overloads
-  /// skipped because the oracle erred after its internal retries (always 0
-  /// against an infallible oracle); `coverage` is their ratio evaluated /
-  /// total. A coverage below 1.0 marks the result as an explicit partial
-  /// view: the true maximum may hide among the failed vertices.
-  uint64_t total_vertices = 0;
-  uint64_t failed_vertices = 0;
-  double coverage = 1.0;
 };
 
 /// Paper-faithful worst-case analysis (Section 6.1): evaluates the global
@@ -65,24 +52,6 @@ struct WorstCaseResult {
                                                size_t max_dims = 20,
                                                runtime::ThreadPool* pool =
                                                    nullptr);
-
-/// Fallible-oracle overload with graceful degradation: a vertex whose
-/// oracle call errs (after whatever retries the stack performs) is skipped
-/// and counted in failed_vertices / coverage instead of aborting the
-/// sweep. Against an oracle that never errors the result is byte-identical
-/// to the infallible sweep.
-///
-/// When `checkpoint` is non-null the sweep runs on the checkpoint's fixed
-/// block grid (independent of pool chunking, so a checkpoint taken at one
-/// thread count resumes at any other): blocks already stored are reused
-/// without re-probing, and blocks that complete with no failed vertex are
-/// stored for the next attempt. A degraded run therefore re-pays only its
-/// failed and unreached blocks on resume, with the oracle cache absorbing
-/// the clean vertices inside re-run blocks.
-[[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, size_t max_dims = 20, runtime::ThreadPool* pool = nullptr,
-    runtime::resilience::SweepCheckpoint* checkpoint = nullptr);
 
 /// Worst case over a *known* candidate plan set, by sweeping box vertices
 /// in ascending mask order and taking the optimum by per-plan TotalCost

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "runtime/oracle_cache.h"
-#include "runtime/oracle_stack.h"
 
 namespace costsense::engine {
 
@@ -32,8 +31,6 @@ namespace costsense::engine {
 ///                                           path (JSON lines)
 ///   cache_entries  COSTSENSE_CACHE_ENTRIES  oracle-cache entry bound >= 1
 ///   cache_shards   COSTSENSE_CACHE_SHARDS   oracle-cache shard count >= 1
-///   fault_rate     COSTSENSE_FAULT_RATE     injected fault rate in [0, 1]
-///   max_retries    COSTSENSE_MAX_RETRIES    resilient-oracle retry budget
 ///   serve_inflight COSTSENSE_SERVE_INFLIGHT server: concurrent requests
 ///                                           >= 1
 ///   serve_queue    COSTSENSE_SERVE_QUEUE    server: admission wait-queue
@@ -66,9 +63,6 @@ struct EngineConfig {
   std::string artifact_json_path;
   /// Memoizing oracle-cache sizing for the per-query stacks.
   runtime::OracleCacheOptions cache;
-  /// Resilience budgets for stacks built with the fault tier enabled.
-  double fault_rate = 0.0;
-  size_t max_retries = 5;
   /// costsense-serve admission bounds: concurrent requests and the wait
   /// queue behind them (see serve::AdmissionController).
   size_t serve_inflight = 4;
@@ -116,13 +110,6 @@ struct EngineConfig {
   /// reproduces the config (the round-trip property config_test proves).
   std::vector<std::pair<std::string, std::string>> KnobTable() const;
 };
-
-/// An oracle-stack builder seeded from config: cache sizing always, and
-/// the resilience tiers when config.fault_rate > 0 (with
-/// config.max_retries as the retry budget). Lives here rather than on
-/// runtime::OracleStackBuilder so the runtime module never depends on
-/// EngineConfig (layer rule R7: runtime sits below engine).
-runtime::OracleStackBuilder MakeOracleStackBuilder(const EngineConfig& config);
 
 }  // namespace costsense::engine
 

@@ -6,7 +6,6 @@
 #include "common/status.h"
 #include "engine/artifact.h"
 #include "engine/config.h"
-#include "runtime/oracle_stack.h"
 #include "runtime/thread_pool.h"
 
 namespace costsense::engine {
@@ -14,8 +13,8 @@ namespace costsense::engine {
 /// The unified analysis engine: one configured entry point that every
 /// driver builds its pipeline from. Creating an Engine applies the
 /// config's process-wide setting (the global thread-pool size) and hands
-/// out the composable pieces — oracle-stack builders and artifact sinks —
-/// so no entry point assembles them ad hoc.
+/// out the configured artifact sinks, so no entry point assembles them ad
+/// hoc.
 class Engine {
  public:
   /// Applies `config` to the process: sizes the global thread pool.
@@ -28,12 +27,6 @@ class Engine {
 
   /// The process-global pool, sized per config().threads.
   runtime::ThreadPool& pool() const { return runtime::ThreadPool::Global(); }
-
-  /// An oracle-stack builder seeded from this config (cache sizing and,
-  /// when fault_rate > 0, the resilience tiers).
-  runtime::OracleStackBuilder MakeOracleStackBuilder() const {
-    return engine::MakeOracleStackBuilder(config_);
-  }
 
   /// The configured artifact sink set (TextRenderer, plus the JSON
   /// sidecar when artifact_json_path is set).

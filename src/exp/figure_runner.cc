@@ -27,12 +27,13 @@ Result<QueryAnalysis> FigureRunner::Analyze(
   const storage::ResourceSpace space = layout.BuildResourceSpace();
   const opt::Optimizer optimizer(catalog_, layout, space);
   blackbox::NarrowOptimizer narrow(optimizer, query, options_.white_box);
-  // The per-query decorator chain, assembled by the engine's stack
-  // builder: the memoizing tier collapses discovery's revisited cost
-  // points (the box center, shared segment midpoints) into one optimizer
-  // invocation each — concurrently safe, since misses compute outside the
-  // shard locks against the stateless optimizer — and the resilience
-  // tiers are stacked above it only when the fault option is on.
+  // The per-query decorator chain: the memoizing tier collapses
+  // discovery's revisited cost points (the box center, shared segment
+  // midpoints) into one optimizer invocation each — concurrently safe,
+  // since misses compute outside the shard locks against the stateless
+  // optimizer — and the fault/retry tiers sit above it only when the
+  // resilience option is on (see runtime/oracle_stack.h for why faults
+  // sit above the cache). Either way the drivers probe stack.oracle().
   runtime::OracleStackBuilder builder;
   builder.WithCache(options_.cache);
   builder.WithStore(options_.store);
@@ -46,6 +47,7 @@ Result<QueryAnalysis> FigureRunner::Analyze(
   const std::string scope =
       query.name + "/" + storage::LayoutPolicyName(policy);
   runtime::OracleStack stack = builder.Build(narrow, scope);
+  core::FalliblePlanOracle& oracle = stack.oracle();
 
   QueryAnalysis out;
   out.query_name = query.name;
@@ -55,36 +57,46 @@ Result<QueryAnalysis> FigureRunner::Analyze(
   out.dim_info = space.dim_info();
   out.cache_imported = stack.cache().stats().imported;
 
-  if (options_.resilience.enabled) {
-    Result<QueryAnalysis> r =
-        AnalyzeResilient(query, optimizer, stack, narrow, std::move(out));
-    if (r.ok()) stack.PublishToStore();
-    return r;
-  }
-  runtime::CachingOracle& oracle = stack.cache();
+  // Probe points this driver skipped or routed to a fallback because the
+  // oracle failed (only possible with the fault tier); reconciled against
+  // the oracle- and injector-side counts below.
+  size_t degraded_points = 0;
 
   // The initial plan: optimal at the (estimated) baseline costs, i.e. the
   // plan a DBA gets by leaving DB2's defaults in place (Section 8.1). The
-  // baseline probe goes through the caching oracle, which also warms the
-  // cache for discovery's center probe (the box center *is* the baseline
-  // for multiplicative bands).
+  // baseline probe goes through the stack, which also warms the cache for
+  // discovery's center probe (the box center *is* the baseline for
+  // multiplicative bands).
   if (options_.white_box) {
-    const core::OracleResult initial = oracle.Optimize(out.baseline);
-    if (!initial.usage.has_value()) {
-      return Status::Internal("white-box oracle did not reveal usage");
+    Result<core::OracleResult> initial = oracle.TryOptimize(out.baseline);
+    if (initial.ok()) {
+      if (!initial->usage.has_value()) {
+        return Status::Internal("white-box oracle did not reveal usage");
+      }
+      out.initial_plan_id = initial->plan_id;
+      out.initial_usage = *initial->usage;
+    } else {
+      // A probe that failed even after retries does not end the analysis:
+      // the in-process optimizer answers directly (the DBA can always
+      // EXPLAIN the current plan) and the point is accounted as degraded.
+      ++degraded_points;
+      const Result<opt::Optimized> direct =
+          optimizer.Optimize(query, out.baseline);
+      if (!direct.ok()) return direct.status();
+      out.initial_plan_id = direct->plan->id;
+      out.initial_usage = direct->plan->usage;
     }
-    out.initial_plan_id = initial.plan_id;
-    out.initial_usage = *initial.usage;
   } else {
     // Narrow mode hides usage vectors; take the initial plan's directly
     // from the optimizer (the DBA can always EXPLAIN the current plan),
-    // and still warm the cache at the baseline point.
+    // and still warm the cache at the baseline point — a failure there
+    // just forfeits the warm-up.
     const Result<opt::Optimized> initial =
         optimizer.Optimize(query, out.baseline);
     if (!initial.ok()) return initial.status();
     out.initial_plan_id = initial->plan->id;
     out.initial_usage = initial->plan->usage;
-    oracle.Optimize(out.baseline);
+    if (!oracle.TryOptimize(out.baseline).ok()) ++degraded_points;
   }
 
   // Discover candidate optimal plans over the widest error band; plan
@@ -97,72 +109,6 @@ Result<QueryAnalysis> FigureRunner::Analyze(
   discovery.pool = &pool();
   Result<core::DiscoveryResult> d =
       core::DiscoverCandidatePlans(oracle, box, rng, discovery);
-  if (!d.ok()) return d.status();
-  for (core::DiscoveredPlan& dp : d->plans) {
-    out.candidate_plans.push_back(std::move(dp.plan));
-  }
-  out.oracle_calls = narrow.calls();
-  out.discovery_complete = d->complete;
-  const runtime::OracleCacheStats cache = oracle.stats();
-  out.cache_hits = cache.hits;
-  out.cache_misses = cache.misses;
-  out.cache_entries = cache.entries;
-  out.cache_evictions = cache.evictions;
-  stack.PublishToStore();
-  return out;
-}
-
-Result<QueryAnalysis> FigureRunner::AnalyzeResilient(
-    const query::Query& query, const opt::Optimizer& optimizer,
-    runtime::OracleStack& stack, blackbox::NarrowOptimizer& narrow,
-    QueryAnalysis out) const {
-  // The builder put the fault tier above the cache (see oracle_stack.h),
-  // so retries cost no optimizer invocations and the cache only ever
-  // holds clean replies.
-  core::FalliblePlanOracle& resilient = *stack.resilient();
-
-  // Degraded probe points this driver skipped or routed to a fallback;
-  // reconciled against the oracle- and injector-side counts below.
-  size_t degraded_points = 0;
-
-  // The initial plan. If the resilient probe fails even after retries, the
-  // analysis still proceeds: the in-process optimizer answers directly
-  // (the DBA can always EXPLAIN the current plan) and the point is
-  // accounted as degraded rather than fatal.
-  if (options_.white_box) {
-    Result<core::OracleResult> initial = resilient.TryOptimize(out.baseline);
-    if (initial.ok()) {
-      if (!initial->usage.has_value()) {
-        return Status::Internal("white-box oracle did not reveal usage");
-      }
-      out.initial_plan_id = initial->plan_id;
-      out.initial_usage = *initial->usage;
-    } else {
-      ++degraded_points;
-      const Result<opt::Optimized> direct =
-          optimizer.Optimize(query, out.baseline);
-      if (!direct.ok()) return direct.status();
-      out.initial_plan_id = direct->plan->id;
-      out.initial_usage = direct->plan->usage;
-    }
-  } else {
-    const Result<opt::Optimized> initial =
-        optimizer.Optimize(query, out.baseline);
-    if (!initial.ok()) return initial.status();
-    out.initial_plan_id = initial->plan->id;
-    out.initial_usage = initial->plan->usage;
-    // Warm the cache at the baseline point as the fault-free path does; a
-    // failure here just forfeits the warm-up.
-    if (!resilient.TryOptimize(out.baseline).ok()) ++degraded_points;
-  }
-
-  const double delta_max = options_.deltas.back();
-  const core::Box box = core::Box::MultiplicativeBand(out.baseline, delta_max);
-  Rng rng(options_.seed);
-  core::DiscoveryOptions discovery = options_.discovery;
-  discovery.pool = &pool();
-  Result<core::DiscoveryResult> d =
-      core::DiscoverCandidatePlans(resilient, box, rng, discovery);
   if (!d.ok()) return d.status();
   for (core::DiscoveredPlan& dp : d->plans) {
     out.candidate_plans.push_back(std::move(dp.plan));
@@ -188,6 +134,7 @@ Result<QueryAnalysis> FigureRunner::AnalyzeResilient(
           : static_cast<double>(telemetry.resilience.calls -
                                 telemetry.resilience.failures) /
                 static_cast<double>(telemetry.resilience.calls);
+  stack.PublishToStore();
   return out;
 }
 

@@ -18,14 +18,6 @@
 #include "runtime/thread_pool.h"
 #include "storage/layout.h"
 
-namespace costsense::opt {
-class Optimizer;
-}  // namespace costsense::opt
-
-namespace costsense::blackbox {
-class NarrowOptimizer;
-}  // namespace costsense::blackbox
-
 namespace costsense::exp {
 
 /// Everything learned about one (query, storage layout) pair: the initial
@@ -133,11 +125,12 @@ class FigureRunner {
     /// Optional fault-injection + retry tier. When enabled the per-query
     /// runtime::OracleStack is built with its resilience tiers (see
     /// runtime/oracle_stack.h for the decorator order and why faults sit
-    /// above the cache) and Analyze degrades gracefully instead of
-    /// failing: probes the stack cannot answer are skipped and accounted
-    /// in the QueryAnalysis counters. With fault_rate 0, or any fault rate
-    /// whose bursts the retry budget absorbs (max_retries > max_burst),
-    /// analysis content is byte-identical to the tier being off.
+    /// above the cache). Analyze probes the stack's top either way and
+    /// degrades gracefully instead of failing: probes the stack cannot
+    /// answer are skipped and accounted in the QueryAnalysis counters.
+    /// With fault_rate 0, or any fault rate whose bursts the retry budget
+    /// absorbs (max_retries > max_burst), analysis content is
+    /// byte-identical to the tier being off.
     struct Resilience {
       bool enabled = false;
       runtime::resilience::FaultInjectionOptions faults;
@@ -175,17 +168,6 @@ class FigureRunner {
 
  private:
   runtime::ThreadPool& pool() const;
-
-  /// The fault-tolerant variant of Analyze's probing phase, used when
-  /// options_.resilience.enabled: probes through the stack's resilient
-  /// tier, degrades per-point instead of failing, and fills the
-  /// resilience counters from the stack telemetry. `out` arrives with the
-  /// layout fields populated.
-  [[nodiscard]] Result<QueryAnalysis> AnalyzeResilient(const query::Query& query,
-                                         const opt::Optimizer& optimizer,
-                                         runtime::OracleStack& stack,
-                                         blackbox::NarrowOptimizer& narrow,
-                                         QueryAnalysis out) const;
 
   const catalog::Catalog& catalog_;
   Options options_;

@@ -6,10 +6,7 @@ StackTelemetry OracleStack::telemetry() const {
   StackTelemetry t;
   t.cache = cache_->stats();
   if (injector_ != nullptr) t.faults = injector_->log();
-  if (resilient_ != nullptr) {
-    t.resilience = resilient_->stats();
-    t.resilient = true;
-  }
+  if (resilient_ != nullptr) t.resilience = resilient_->stats();
   return t;
 }
 
@@ -61,6 +58,11 @@ OracleStack OracleStackBuilder::Build(core::PlanOracle& base,
         *stack.cache_, faults_, clock_);
     stack.resilient_ = std::make_unique<resilience::ResilientOracle>(
         *stack.injector_, retry_, clock_);
+    stack.top_ = stack.resilient_.get();
+  } else {
+    stack.adapter_ = std::make_unique<core::InfallibleOracleAdapter>(
+        *stack.cache_);
+    stack.top_ = stack.adapter_.get();
   }
   return stack;
 }

@@ -20,42 +20,41 @@ struct StackTelemetry {
   OracleCacheStats cache;
   resilience::FaultLog faults;
   resilience::ResilienceStats resilience;
-  /// True when the fault/retry tiers exist (resilient() is non-null).
-  bool resilient = false;
 };
 
-/// An assembled PlanOracle decorator chain over a base optimizer oracle:
+/// An assembled PlanOracle decorator chain over a base optimizer oracle.
+/// Every stack has one fallible top, oracle(), that drivers probe:
 ///
-///   drivers -> ResilientOracle -> FaultInjectingOracle -> CachingOracle
-///           -> base (e.g. blackbox::NarrowOptimizer)
+///   default:          drivers -> InfallibleOracleAdapter -> CachingOracle
+///                             -> base (e.g. blackbox::NarrowOptimizer)
+///   WithResilience:   drivers -> ResilientOracle -> FaultInjectingOracle
+///                             -> CachingOracle -> base
 ///
-/// Faults are injected *above* the cache: a retried probe re-enters the
-/// injector (consuming its burst) and then lands on the warm cache, so
-/// retries cost no optimizer invocations and the cache only ever holds
-/// clean replies. This order is what makes figure output byte-identical
-/// under absorbed faults, and OracleStack is the one place it is encoded.
+/// The default top is a lock-free pass-through, so fault-free drivers pay
+/// nothing for speaking the fallible interface. Faults are injected
+/// *above* the cache: a retried probe re-enters the injector (consuming
+/// its burst) and then lands on the warm cache, so retries cost no
+/// optimizer invocations and the cache only ever holds clean replies.
+/// This order is what makes figure output byte-identical under absorbed
+/// faults, and OracleStack is the one place it is encoded.
 ///
 /// The base oracle is not owned and must outlive the stack. Every layer
 /// also remains individually constructible (CachingOracle,
 /// FaultInjectingOracle, ResilientOracle) for targeted tests.
-///
-/// The stack composes runtime decorators over the pure core::PlanOracle
-/// interface, so it lives in runtime/; seeding a builder from an
-/// EngineConfig is the engine module's job (engine::MakeOracleStackBuilder)
-/// so that runtime stays below engine in the layer order.
 class OracleStack {
  public:
   OracleStack(OracleStack&&) = default;
   OracleStack& operator=(OracleStack&&) = default;
 
-  /// The memoizing tier; always present. Drivers on the infallible path
-  /// probe this directly.
+  /// The memoizing tier; always present. Infallible callers, and fault
+  /// injectors stacked per request above a shared cache (as the serve
+  /// Dispatcher does), probe this directly.
   CachingOracle& cache() { return *cache_; }
   const CachingOracle& cache() const { return *cache_; }
 
-  /// Top of the fallible chain, or nullptr when the stack was built
-  /// without the resilience tier.
-  core::FalliblePlanOracle* resilient() { return resilient_.get(); }
+  /// Top of the chain; always present. Without the resilience tier it
+  /// forwards to the cache and never fails.
+  core::FalliblePlanOracle& oracle() { return *top_; }
 
   /// The fault tier, or nullptr without resilience (tests reach in to
   /// read the fault log).
@@ -76,6 +75,8 @@ class OracleStack {
   std::unique_ptr<CachingOracle> cache_;
   std::unique_ptr<resilience::FaultInjectingOracle> injector_;
   std::unique_ptr<resilience::ResilientOracle> resilient_;
+  std::unique_ptr<core::InfallibleOracleAdapter> adapter_;
+  core::FalliblePlanOracle* top_ = nullptr;  // resilient_ or adapter_
   CacheStore* store_ = nullptr;  // not owned
   std::string scope_;
 };

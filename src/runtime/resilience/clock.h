@@ -6,9 +6,9 @@
 
 namespace costsense::runtime::resilience {
 
-/// Injectable time source for the resilience layer. Deadline budgets,
-/// backoff sleeps and circuit-breaker cooldowns all read and advance time
-/// through this interface, so tests and the deterministic fault-sweep
+/// Injectable time source for the resilience layer. The run-deadline
+/// budget, backoff sleeps and injected latency faults all read and advance
+/// time through this interface, so tests and the deterministic fault-sweep
 /// harness can substitute a manual clock and replay the exact same
 /// timeout/backoff decisions at any thread count and machine speed.
 class Clock {

@@ -4,11 +4,21 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "common/strings.h"
 #include "runtime/oracle_cache.h"
 
 namespace costsense::runtime::resilience {
 namespace {
+
+/// The fixed backoff schedule: attempt k sleeps kBackoffBaseNs *
+/// kBackoffMultiplier^k, scaled by a jitter factor in [1, 1 + kBackoffJitter].
+constexpr uint64_t kBackoffBaseNs = 1000;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.25;
+/// Seed of the jitter streams.
+constexpr uint64_t kJitterSeed = 0x0e51113e;
+/// Mantissa bits kept when quantizing a cost vector into its jitter key
+/// (matches the oracle cache / fault injector keying).
+constexpr int kKeyMantissaBits = 40;
 
 uint64_t HashQuantized(const core::CostVector& c, int mantissa_bits,
                        uint64_t seed) {
@@ -26,6 +36,16 @@ uint64_t HashQuantized(const core::CostVector& c, int mantissa_bits,
   return h;
 }
 
+[[nodiscard]] Status ValidateReply(const core::OracleResult& r) {
+  if (!std::isfinite(r.total_cost)) {
+    return Status::Internal("oracle reply has non-finite total cost");
+  }
+  if (r.plan_id.empty()) {
+    return Status::Internal("oracle reply has an empty plan id");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 ResilientOracle::ResilientOracle(core::FalliblePlanOracle& base,
@@ -33,95 +53,52 @@ ResilientOracle::ResilientOracle(core::FalliblePlanOracle& base,
                                  Clock* clock)
     : base_(base),
       options_(options),
-      clock_(clock != nullptr ? *clock : Clock::Real()) {
-  run_start_ns_ = clock_.NowNanos();
-}
-
-Status ResilientOracle::ValidateReply(const core::OracleResult& r) const {
-  if (!std::isfinite(r.total_cost)) {
-    return Status::Internal("oracle reply has non-finite total cost");
-  }
-  if (options_.require_positive_cost && r.total_cost <= 0.0) {
-    return Status::Internal(
-        StrFormat("oracle reply has non-positive total cost %g",
-                  r.total_cost));
-  }
-  if (r.plan_id.empty()) {
-    return Status::Internal("oracle reply has an empty plan id");
-  }
-  if (options_.validate) {
-    Status st = options_.validate(r);
-    if (!st.ok()) return st;
-  }
-  return Status::Ok();
-}
+      clock_(clock != nullptr ? *clock : Clock::Real()),
+      run_start_ns_(clock_.NowNanos()) {}
 
 Result<core::OracleResult> ResilientOracle::TryOptimize(
     const core::CostVector& c) {
-  // Admission: breaker and run budget are checked before any attempt.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.calls;
-    if (breaker_open_) {
-      const uint64_t now = clock_.NowNanos();
-      if (now < breaker_open_until_ns_) {
-        ++stats_.breaker_short_circuits;
-        ++stats_.failures;
-        return Status::Unavailable(
-            "circuit breaker open: consecutive oracle failures");
-      }
-      // Cooldown elapsed: half-open, let this call probe the oracle.
-      breaker_open_ = false;
-    }
-  }
-
   auto run_budget_spent = [&]() -> bool {
-    if (options_.run_deadline_ns == 0) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    return clock_.NowNanos() - run_start_ns_ >= options_.run_deadline_ns;
+    return options_.run_deadline_ns != 0 &&
+           clock_.NowNanos() - run_start_ns_ >= options_.run_deadline_ns;
   };
 
+  // Admission: a spent run budget fails fast, before any attempt.
   if (run_budget_spent()) {
     std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.calls;
     ++stats_.failures;
     ++stats_.deadline_exceeded;
     return Status::DeadlineExceeded("oracle run deadline budget spent");
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.calls;
+  }
 
-  // Jitter stream: a pure function of (seed, quantized cost vector), so
+  // Jitter stream: a pure function of the quantized cost vector, so
   // backoff schedules replay identically run to run.
-  Rng jitter = Rng(options_.seed)
-                   .Fork(HashQuantized(c, options_.key_mantissa_bits,
-                                       options_.seed));
+  Rng jitter = Rng(kJitterSeed)
+                   .Fork(HashQuantized(c, kKeyMantissaBits, kJitterSeed));
 
   Status last_error;
   for (size_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    const uint64_t t0 = clock_.NowNanos();
     Result<core::OracleResult> reply = base_.TryOptimize(c);
-    const uint64_t elapsed = clock_.NowNanos() - t0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.attempts;
       if (attempt > 0) ++stats_.retries;
     }
 
-    if (options_.per_call_deadline_ns != 0 &&
-        elapsed > options_.per_call_deadline_ns) {
-      last_error = Status::DeadlineExceeded(
-          StrFormat("oracle reply took %llu ns (per-call deadline %llu ns)",
-                    static_cast<unsigned long long>(elapsed),
-                    static_cast<unsigned long long>(
-                        options_.per_call_deadline_ns)));
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.deadline_exceeded;
-    } else if (!reply.ok()) {
+    if (!reply.ok()) {
       last_error = reply.status();
     } else {
       Status valid = ValidateReply(*reply);
       if (valid.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (attempt > 0) ++stats_.recovered;
-        consecutive_failures_ = 0;
+        if (attempt > 0) {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++stats_.recovered;
+        }
         return reply;
       }
       last_error = std::move(valid);
@@ -132,9 +109,9 @@ Result<core::OracleResult> ResilientOracle::TryOptimize(
     if (attempt == options_.max_retries || run_budget_spent()) break;
 
     // Exponential backoff with deterministic jitter before the retry.
-    double backoff = static_cast<double>(options_.backoff_base_ns);
-    for (size_t k = 0; k < attempt; ++k) backoff *= options_.backoff_multiplier;
-    backoff *= 1.0 + options_.backoff_jitter * jitter.Uniform();
+    double backoff = static_cast<double>(kBackoffBaseNs);
+    for (size_t k = 0; k < attempt; ++k) backoff *= kBackoffMultiplier;
+    backoff *= 1.0 + kBackoffJitter * jitter.Uniform();
     const uint64_t wait = static_cast<uint64_t>(backoff);
     clock_.SleepFor(wait);
     std::lock_guard<std::mutex> lock(mu_);
@@ -143,13 +120,6 @@ Result<core::OracleResult> ResilientOracle::TryOptimize(
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.failures;
-  ++consecutive_failures_;
-  if (options_.breaker_threshold != 0 && !breaker_open_ &&
-      consecutive_failures_ >= options_.breaker_threshold) {
-    breaker_open_ = true;
-    breaker_open_until_ns_ = clock_.NowNanos() + options_.breaker_cooldown_ns;
-    ++stats_.breaker_trips;
-  }
   return last_error.ok()
              ? Status::Unavailable("oracle call failed without a status")
              : last_error;
@@ -158,14 +128,6 @@ Result<core::OracleResult> ResilientOracle::TryOptimize(
 ResilienceStats ResilientOracle::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void ResilientOracle::ResetBudget() {
-  std::lock_guard<std::mutex> lock(mu_);
-  run_start_ns_ = clock_.NowNanos();
-  consecutive_failures_ = 0;
-  breaker_open_ = false;
-  breaker_open_until_ns_ = 0;
 }
 
 }  // namespace costsense::runtime::resilience

@@ -2,57 +2,26 @@
 #define COSTSENSE_RUNTIME_RESILIENCE_RESILIENT_ORACLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <string>
 
 #include "core/oracle.h"
 #include "runtime/resilience/clock.h"
 
 namespace costsense::runtime::resilience {
 
-/// Tuning for ResilientOracle — the retry/hedging tier of the oracle
-/// decorator stack.
+/// Tuning for ResilientOracle — the retry tier of the oracle decorator
+/// stack. Backoff between retries is fixed: attempt k sleeps
+/// 1 us * 2^k, scaled by a deterministic jitter factor in [1, 1.25] drawn
+/// from a stream keyed by the quantized cost vector.
 struct ResilientOracleOptions {
   /// Retries after the first attempt (total attempts = max_retries + 1).
   /// 0 disables retrying: every fault surfaces to the caller.
   size_t max_retries = 5;
-  /// Per-attempt deadline on the injected clock; an attempt whose reply
-  /// arrives later is discarded as kDeadlineExceeded (and retried while
-  /// budget remains). 0 = unlimited.
-  uint64_t per_call_deadline_ns = 0;
-  /// Cumulative budget for the oracle's whole lifetime (one sweep/run).
-  /// Once spent, calls fail fast with kDeadlineExceeded instead of
-  /// retrying — a long sweep degrades its tail rather than hanging.
-  /// 0 = unlimited. ResetBudget() restarts the window.
+  /// Cumulative budget for the oracle's whole lifetime (one sweep, run or
+  /// request). Once spent, calls fail fast with kDeadlineExceeded instead
+  /// of retrying — a long sweep degrades its tail rather than hanging.
+  /// 0 = unlimited.
   uint64_t run_deadline_ns = 0;
-  /// Exponential backoff between retries: attempt k sleeps
-  /// backoff_base_ns * backoff_multiplier^k, scaled by a deterministic
-  /// jitter factor in [1, 1 + backoff_jitter] drawn from a stream keyed by
-  /// (seed, quantized cost vector, attempt).
-  uint64_t backoff_base_ns = 1000;
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.25;
-  /// Consecutive *exhausted* calls (all retries failed) that open the
-  /// circuit breaker; while open, calls fail fast with kUnavailable until
-  /// breaker_cooldown_ns passes, then one probe call is let through
-  /// (half-open). 0 disables the breaker.
-  size_t breaker_threshold = 0;
-  uint64_t breaker_cooldown_ns = 1'000'000;
-  /// Reply validation: a reply with a non-finite total cost or an empty
-  /// plan id is always rejected (converted to kInternal and retried).
-  /// Optionally also reject non-positive costs — off by default because
-  /// the vertex sweeps legitimately see non-positive optima at degenerate
-  /// vertices and account for them separately.
-  bool require_positive_cost = false;
-  /// Extra validation hook (e.g. membership in a known plan-id set);
-  /// return a non-OK status to reject the reply. Null = none.
-  std::function<Status(const core::OracleResult&)> validate;
-  /// Seed of the jitter streams.
-  uint64_t seed = 0x0e51113e;
-  /// Mantissa bits for the per-key jitter stream quantization (matches the
-  /// oracle cache / fault injector keying).
-  int key_mantissa_bits = 40;
 };
 
 /// Counters exported by a ResilientOracle. Snapshots are consistent per
@@ -67,27 +36,22 @@ struct ResilienceStats {
   size_t retries = 0;
   /// Calls that failed at least once and then succeeded within budget.
   size_t recovered = 0;
-  /// Calls that returned an error to the caller (retry budget exhausted,
-  /// run deadline spent, or breaker open).
+  /// Calls that returned an error to the caller (retry budget exhausted
+  /// or run deadline spent).
   size_t failures = 0;
-  /// Replies rejected by validation (non-finite cost, empty id, hook).
+  /// Replies rejected by validation (non-finite cost, empty plan id).
   size_t invalid_replies = 0;
-  /// Deadline rejections: attempts discarded for blowing the per-call
-  /// deadline, plus calls failed fast because the run budget was spent.
-  /// Lets callers classify a failed sweep as deadline-driven.
+  /// Calls failed fast because the run budget was spent. Lets callers
+  /// classify a failed sweep as deadline-driven.
   size_t deadline_exceeded = 0;
-  /// Times the breaker transitioned closed -> open.
-  size_t breaker_trips = 0;
-  /// Calls rejected without touching the base oracle while open.
-  size_t breaker_short_circuits = 0;
   /// Virtual/real nanoseconds spent in backoff sleeps.
   uint64_t backoff_waited_ns = 0;
 };
 
 /// Bounded-retry decorator over a fallible oracle: exponential backoff
-/// with deterministic jitter, per-call and per-run deadline budgets on an
-/// injectable Clock, a consecutive-failure circuit breaker, and reply
-/// validation that converts garbage replies into typed Status codes.
+/// with deterministic jitter, a per-run deadline budget on an injectable
+/// Clock, and reply validation that converts garbage replies (non-finite
+/// total cost, empty plan id) into typed kInternal errors.
 ///
 /// Determinism: whether a call ultimately succeeds depends only on the
 /// wrapped oracle's (deterministic) fault script and the retry budget —
@@ -108,23 +72,14 @@ class ResilientOracle final : public core::FalliblePlanOracle {
 
   ResilienceStats stats() const;
 
-  /// Restarts the run-deadline window and closes the breaker (counters are
-  /// preserved). Call between sweeps that share one oracle.
-  void ResetBudget();
-
  private:
-  [[nodiscard]] Status ValidateReply(const core::OracleResult& r) const;
-
   core::FalliblePlanOracle& base_;
   const ResilientOracleOptions options_;
   Clock& clock_;
+  const uint64_t run_start_ns_;  // start of the run-deadline window
 
-  mutable std::mutex mu_;  // guards everything below
+  mutable std::mutex mu_;  // guards stats_
   ResilienceStats stats_;
-  uint64_t run_start_ns_ = 0;
-  size_t consecutive_failures_ = 0;
-  bool breaker_open_ = false;
-  uint64_t breaker_open_until_ns_ = 0;
 };
 
 }  // namespace costsense::runtime::resilience

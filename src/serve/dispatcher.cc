@@ -123,24 +123,20 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
                           runtime::sink::Sink& out) {
   // The per-request half of the oracle chain, stacked above the shared
   // cache in the canonical decorator order (runtime/oracle_stack.h):
-  // ResilientOracle (request deadline + retry budget) over an optional
-  // fault injector over the long-lived CachingOracle. Deadlines and
+  // ResilientOracle (request deadline, no retries) over an optional
+  // fault injector over the context's long-lived CachingOracle (through
+  // the stack's own top when no injector is configured). Deadlines and
   // faults stay request-local; computed points are shared.
   runtime::resilience::Clock* clock = options_.clock;
   std::unique_ptr<runtime::resilience::FaultInjectingOracle> injector;
-  std::unique_ptr<core::InfallibleOracleAdapter> adapter;
-  core::FalliblePlanOracle* base = nullptr;
+  core::FalliblePlanOracle* base = &ctx.stack.oracle();
   if (options_.fault_injection) {
     injector = std::make_unique<runtime::resilience::FaultInjectingOracle>(
         ctx.stack.cache(), options_.faults, clock);
     base = injector.get();
-  } else {
-    adapter = std::make_unique<core::InfallibleOracleAdapter>(
-        ctx.stack.cache());
-    base = adapter.get();
   }
   runtime::resilience::ResilientOracleOptions retry;
-  retry.max_retries = options_.max_retries;
+  retry.max_retries = 0;
   retry.run_deadline_ns = request.deadline_ns != 0
                               ? request.deadline_ns
                               : options_.default_deadline_ns;
@@ -180,7 +176,7 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
   const runtime::resilience::ResilienceStats rs = resilient.stats();
   if (rs.failures > 0) {
     const std::string detail = StrFormat(
-        "%zu of %zu oracle probe(s) failed after retries; analysis "
+        "%zu of %zu oracle probe(s) failed; analysis "
         "abandoned to keep kOk bodies deterministic",
         rs.failures, rs.calls);
     if (rs.deadline_exceeded > 0) return Status::DeadlineExceeded(detail);

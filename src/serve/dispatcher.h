@@ -34,12 +34,11 @@ struct DispatcherOptions {
   /// Deadline applied when a request carries deadline_ns == 0.
   /// 0 = unlimited.
   uint64_t default_deadline_ns = 0;
-  /// Retry budget of the per-request resilient tier.
-  size_t max_retries = 0;
   /// Optional deterministic fault injection between the per-request
   /// resilient tier and the shared cache (tests drive deadline behaviour
   /// with latency faults on a ManualClock; production servers leave this
-  /// off).
+  /// off). The per-request tier never retries: a deterministic cache
+  /// gives the same reply on a retry, so only the deadline matters.
   bool fault_injection = false;
   runtime::resilience::FaultInjectionOptions faults;
   /// Pool the per-request discovery probes and per-rival LPs fan out on;

@@ -33,8 +33,6 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
   EXPECT_EQ(config->cache.shards, runtime::OracleCacheOptions{}.shards);
   EXPECT_EQ(config->cache.max_entries,
             runtime::OracleCacheOptions{}.max_entries);
-  EXPECT_EQ(config->fault_rate, 0.0);
-  EXPECT_EQ(config->max_retries, 5u);
 }
 
 TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
@@ -45,8 +43,6 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
       {"COSTSENSE_CACHE_ENTRIES", "1024"},
       {"COSTSENSE_CACHE_SHARDS", "4"},
-      {"COSTSENSE_FAULT_RATE", "0.25"},
-      {"COSTSENSE_MAX_RETRIES", "7"},
   };
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -56,15 +52,14 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
   EXPECT_EQ(config->cache.max_entries, 1024u);
   EXPECT_EQ(config->cache.shards, 4u);
-  EXPECT_EQ(config->fault_rate, 0.25);
-  EXPECT_EQ(config->max_retries, 7u);
 }
 
 TEST(EngineConfigTest, FromEnvReadsOnlyTheKnobVariables) {
   // FromEnv asks for exactly one variable per KnobTable row, spelled
   // COSTSENSE_<KEY>, in table order. Any other variable — including the
-  // retired sweep-kernel and sidecar-chain ones — is never read, so
-  // setting it changes nothing and refuses nothing.
+  // retired sweep-kernel, sidecar-chain, fault-rate and retry-budget
+  // ones — is never read, so setting it changes nothing and refuses
+  // nothing.
   std::vector<std::string> read;
   const Result<EngineConfig> config =
       EngineConfig::FromEnv([&read](const char* name) -> const char* {
@@ -102,8 +97,6 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "-2"},
-      {"COSTSENSE_FAULT_RATE", "1.5"},
-      {"COSTSENSE_MAX_RETRIES", "2.5"},
   };
   for (const auto& [name, value] : bad) {
     const std::map<std::string, std::string> env = {{name, value}};
@@ -132,13 +125,16 @@ TEST(EngineConfigTest, OverridesWinOverEnvironment) {
 
 TEST(EngineConfigTest, OverrideErrorsAreTyped) {
   EngineConfig config;
-  // "kernel" and "artifact_chain" are no longer knobs: a stale override
-  // of either is an unknown key like any other.
+  // "kernel", "artifact_chain", "fault_rate" and "max_retries" are no
+  // longer knobs: a stale override of any of them is an unknown key like
+  // any other.
   for (const auto& [assignment, key] :
        std::map<std::string, std::string>{
            {"bogus=1", "bogus"},
            {"kernel=scalar", "kernel"},
-           {"artifact_chain=compressed", "artifact_chain"}}) {
+           {"artifact_chain=compressed", "artifact_chain"},
+           {"fault_rate=0.25", "fault_rate"},
+           {"max_retries=3", "max_retries"}}) {
     const Status unknown = config.ApplyOverride(assignment);
     EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument) << assignment;
     EXPECT_NE(unknown.message().find(key), std::string::npos)
@@ -172,8 +168,6 @@ void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
   EXPECT_EQ(a.cache.max_entries, b.cache.max_entries);
   EXPECT_EQ(a.cache.shards, b.cache.shards);
-  EXPECT_EQ(a.fault_rate, b.fault_rate);
-  EXPECT_EQ(a.max_retries, b.max_retries);
 }
 
 TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
@@ -187,8 +181,6 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   original.artifact_json_path = "/tmp/a.jsonl";
   original.cache.max_entries = 512;
   original.cache.shards = 2;
-  original.fault_rate = 0.125;  // exact in binary, round-trips through %g
-  original.max_retries = 9;
 
   for (const EngineConfig& seed : {original, EngineConfig()}) {
     EngineConfig rebuilt;

@@ -74,9 +74,6 @@ TEST(EngineCreateTest, MalformedEnvironmentIsInvalidArgument) {
       {"COSTSENSE_THREADS", "-2"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "zero"},
-      {"COSTSENSE_FAULT_RATE", "1.5"},
-      {"COSTSENSE_FAULT_RATE", "nan"},
-      {"COSTSENSE_MAX_RETRIES", "many"},
       {"COSTSENSE_SERVE_INFLIGHT", "0"},
       {"COSTSENSE_SERVE_QUEUE", "-1"},
       {"COSTSENSE_SERVE_DEADLINE_MS", "soon"},

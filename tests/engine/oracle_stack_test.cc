@@ -1,14 +1,14 @@
-// Tests of the oracle-stack builder: which tiers get built, and the one
-// ordering property the stack exists to encode — faults are injected
-// *above* the cache, so retries re-enter the injector but never cost an
-// extra base-optimizer call, and the cache only ever holds clean replies.
+// Tests of the oracle-stack builder: which tiers get built, that oracle()
+// is always the top of the chain, and the one ordering property the stack
+// exists to encode — faults are injected *above* the cache, so retries
+// re-enter the injector but never cost an extra base-optimizer call, and
+// the cache only ever holds clean replies.
 #include "runtime/oracle_stack.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "engine/config.h"
 #include "tests/core/fake_oracle.h"
 
 namespace costsense::runtime {
@@ -22,9 +22,7 @@ std::vector<core::PlanUsage> TwoPlans() {
 TEST(OracleStackTest, DefaultBuildIsCacheOnly) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
   OracleStack stack = OracleStackBuilder().Build(base);
-  EXPECT_EQ(stack.resilient(), nullptr);
   EXPECT_EQ(stack.injector(), nullptr);
-  EXPECT_FALSE(stack.telemetry().resilient);
 
   const core::CostVector probe{1.0, 2.0};
   const core::OracleResult first = stack.cache().Optimize(probe);
@@ -66,13 +64,10 @@ TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
 
   OracleStack stack =
       OracleStackBuilder().WithResilience(faults, retry).Build(base);
-  ASSERT_NE(stack.resilient(), nullptr);
   ASSERT_NE(stack.injector(), nullptr);
-  EXPECT_TRUE(stack.telemetry().resilient);
 
   const core::CostVector probe{1.0, 2.0};
-  const Result<core::OracleResult> reply =
-      stack.resilient()->TryOptimize(probe);
+  const Result<core::OracleResult> reply = stack.oracle().TryOptimize(probe);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
 
   StackTelemetry telemetry = stack.telemetry();
@@ -88,8 +83,7 @@ TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
 
   // Same key again: the burst is spent, the cache is warm — no new fault,
   // no new base call.
-  const Result<core::OracleResult> again =
-      stack.resilient()->TryOptimize(probe);
+  const Result<core::OracleResult> again = stack.oracle().TryOptimize(probe);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->plan_id, reply->plan_id);
   telemetry = stack.telemetry();
@@ -109,29 +103,32 @@ TEST(OracleStackTest, ExhaustedRetryBudgetSurfacesTypedFailure) {
   OracleStack stack =
       OracleStackBuilder().WithResilience(faults, retry).Build(base);
   const Result<core::OracleResult> reply =
-      stack.resilient()->TryOptimize(core::CostVector{1.0, 2.0});
+      stack.oracle().TryOptimize(core::CostVector{1.0, 2.0});
   EXPECT_FALSE(reply.ok());
   const StackTelemetry telemetry = stack.telemetry();
   EXPECT_EQ(telemetry.resilience.failures, 1u);
   EXPECT_EQ(base.calls(), 0u);  // the fault tier absorbed every attempt
 }
 
-TEST(OracleStackTest, MakeBuilderGatesResilienceOnFaultRate) {
+TEST(OracleStackTest, DefaultOracleAnswersThroughTheCache) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
+  OracleStack stack = OracleStackBuilder().Build(base);
+  EXPECT_EQ(stack.injector(), nullptr);
 
-  engine::EngineConfig plain;
-  OracleStack no_faults = engine::MakeOracleStackBuilder(plain).Build(base);
-  EXPECT_EQ(no_faults.resilient(), nullptr);
+  const Result<core::OracleResult> reply =
+      stack.oracle().TryOptimize(core::CostVector{1.0, 2.0});
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply->plan_id.empty());
 
-  engine::EngineConfig faulty;
-  faulty.fault_rate = 0.5;
-  faulty.max_retries = 4;
-  faulty.cache.shards = 2;
-  faulty.cache.max_entries = 64;
-  OracleStack with_faults =
-      engine::MakeOracleStackBuilder(faulty).Build(base);
-  EXPECT_NE(with_faults.resilient(), nullptr);
-  EXPECT_NE(with_faults.injector(), nullptr);
+  // One probe through the top is one cache miss and one base call; no
+  // resilience tier saw it.
+  const StackTelemetry telemetry = stack.telemetry();
+  EXPECT_EQ(telemetry.cache.misses, 1u);
+  EXPECT_EQ(telemetry.cache.hits, 0u);
+  EXPECT_EQ(base.calls(), 1u);
+  EXPECT_EQ(telemetry.resilience.calls, 0u);
+  EXPECT_EQ(telemetry.resilience.attempts, 0u);
+  EXPECT_EQ(telemetry.faults.calls, 0u);
 }
 
 TEST(OracleStackTest, OneBuilderStampsOutIndependentStacks) {

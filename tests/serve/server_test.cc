@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -414,9 +415,11 @@ TEST(AdmissionTest, QueuedWaiterGetsSlotOnRelease) {
     waiter_result = admission.Admit();
   });
   // The waiter parks in the bounded queue; releasing the slot admits it.
+  // Poll by sleeping, not yielding: on a loaded host the waiter thread
+  // may not be scheduled within any fixed number of yields.
   AdmissionStats stats = admission.stats();
   for (int i = 0; i < 5000 && stats.queued == 0; ++i) {
-    std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     stats = admission.stats();
   }
   EXPECT_EQ(stats.queued, 1u);
