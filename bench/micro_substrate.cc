@@ -1,40 +1,17 @@
-// Micro-benchmarks of the supporting substrates: SQL parsing, linear
-// algebra, usage-vector extraction through the narrow interface, disk
-// trace replay, and risk profiling.
+// Micro-benchmarks of the supporting substrates: linear algebra,
+// usage-vector extraction through the narrow interface, and disk trace
+// replay.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "core/risk.h"
 #include "core/usage_extraction.h"
 #include "linalg/least_squares.h"
-#include "query/parser.h"
 #include "sim/replay.h"
 #include "tests/core/fake_oracle.h"
-#include "tpch/schema.h"
 
 namespace costsense {
 namespace {
-
-const catalog::Catalog& Cat() {
-  static const catalog::Catalog* cat =
-      new catalog::Catalog(tpch::MakeTpchCatalog(100.0));
-  return *cat;
-}
-
-void BM_ParseSql(benchmark::State& state) {
-  const char* sql =
-      "SELECT l.l_returnflag, SUM(l.l_extendedprice) FROM lineitem l, "
-      "orders o, customer c WHERE l.l_orderkey = o.o_orderkey AND "
-      "o.o_custkey = c.c_custkey AND l.l_shipdate >= DATE '1995-06-01' "
-      "AND c.c_mktsegment = 'BUILDING' GROUP BY l.l_returnflag "
-      "ORDER BY l.l_returnflag";
-  for (auto _ : state) {
-    const auto q = query::ParseSql(Cat(), sql);
-    benchmark::DoNotOptimize(q.ok());
-  }
-}
-BENCHMARK(BM_ParseSql)->Unit(benchmark::kMicrosecond);
 
 void BM_LeastSquares(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -100,28 +77,6 @@ void BM_TraceReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceReplay)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_RiskProfile(benchmark::State& state) {
-  Rng init(9);
-  const size_t dims = 10;
-  std::vector<core::PlanUsage> plans;
-  for (int p = 0; p < 12; ++p) {
-    core::UsageVector u(dims);
-    for (size_t i = 0; i < dims; ++i) {
-      u[i] = init.Uniform() < 0.2 ? 0.0 : init.LogUniform(1.0, 1e5);
-    }
-    plans.push_back({"p" + std::to_string(p), std::move(u)});
-  }
-  const core::Box box =
-      core::Box::MultiplicativeBand(core::CostVector(dims, 1.0), 100.0);
-  for (auto _ : state) {
-    Rng rng(13);
-    const auto profile =
-        core::ComputeRiskProfile(plans[0].usage, plans, box, rng, 2000);
-    benchmark::DoNotOptimize(profile->p99);
-  }
-}
-BENCHMARK(BM_RiskProfile)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace costsense

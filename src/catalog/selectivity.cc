@@ -5,20 +5,6 @@
 
 namespace costsense::catalog {
 
-double EqualitySelectivity(const ColumnStats& stats) {
-  return 1.0 / std::max(1.0, stats.n_distinct);
-}
-
-double RangeSelectivity(const ColumnStats& stats, double value_lo,
-                        double value_hi) {
-  const double width = stats.max_value - stats.min_value;
-  if (width <= 0.0) return 1.0;
-  const double lo = std::max(value_lo, stats.min_value);
-  const double hi = std::min(value_hi, stats.max_value);
-  if (hi <= lo) return 0.0;
-  return std::clamp((hi - lo) / width, 0.0, 1.0);
-}
-
 double JoinSelectivity(const ColumnStats& left, const ColumnStats& right) {
   return 1.0 / std::max({1.0, left.n_distinct, right.n_distinct});
 }

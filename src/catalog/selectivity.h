@@ -5,16 +5,6 @@
 
 namespace costsense::catalog {
 
-/// Selinger-style default selectivity of an equality predicate on the
-/// column: 1 / n_distinct.
-double EqualitySelectivity(const ColumnStats& stats);
-
-/// Selectivity of a range predicate value_lo <= col <= value_hi under the
-/// uniform assumption; clamps to [0, 1]. Open-ended ranges pass the
-/// column's own min/max.
-double RangeSelectivity(const ColumnStats& stats, double value_lo,
-                        double value_hi);
-
 /// Selinger default equi-join selectivity: 1 / max(ndv_left, ndv_right).
 double JoinSelectivity(const ColumnStats& left, const ColumnStats& right);
 

@@ -60,21 +60,6 @@ TEST(CatalogTest, IndexConstructionAndLookup) {
   EXPECT_TRUE(idx.clustered);
 }
 
-TEST(SelectivityTest, Equality) {
-  ColumnStats s;
-  s.n_distinct = 50;
-  EXPECT_DOUBLE_EQ(EqualitySelectivity(s), 0.02);
-}
-
-TEST(SelectivityTest, RangeClamped) {
-  ColumnStats s;
-  s.min_value = 0;
-  s.max_value = 100;
-  EXPECT_DOUBLE_EQ(RangeSelectivity(s, 0, 50), 0.5);
-  EXPECT_DOUBLE_EQ(RangeSelectivity(s, -100, 200), 1.0);
-  EXPECT_DOUBLE_EQ(RangeSelectivity(s, 70, 60), 0.0);
-}
-
 TEST(SelectivityTest, JoinUsesLargerDomain) {
   ColumnStats a, b;
   a.n_distinct = 100;

@@ -1,170 +1,17 @@
-// Tests for the geometric constructs of the framework: equicost lines,
-// switchover planes, half-spaces (paper Section 4.1-4.3), dominance
-// (Section 4.4) and the feasible cost region (Section 3.3).
+// Tests for the feasible cost region of the framework: the box of cost
+// vectors the true costs may lie in (paper Section 3.3).
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <string>
-#include <vector>
 
 #include "common/rng.h"
-#include "core/dominance.h"
 #include "core/feasible_region.h"
-#include "core/switchover.h"
 
 namespace costsense::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-TEST(SwitchoverTest, NormalIsDifferenceOfUsageVectors) {
-  const SwitchoverPlane plane(UsageVector{3.0, 1.0}, UsageVector{1.0, 2.0});
-  EXPECT_EQ(plane.normal(), (linalg::Vector{2.0, -1.0}));
-  EXPECT_FALSE(plane.degenerate());
-}
-
-TEST(SwitchoverTest, EqualCostVectorOnPlane) {
-  // A=(2,1), B=(1,2): costs tie whenever c1 == c2.
-  const SwitchoverPlane plane(UsageVector{2.0, 1.0}, UsageVector{1.0, 2.0});
-  EXPECT_EQ(plane.Classify(CostVector{5.0, 5.0}), Side::kOnPlane);
-  EXPECT_EQ(plane.Classify(CostVector{6.0, 1.0}), Side::kADominated);
-  EXPECT_EQ(plane.Classify(CostVector{1.0, 6.0}), Side::kBDominated);
-}
-
-TEST(SwitchoverTest, DegenerateForIdenticalPlans) {
-  const UsageVector u{1.0, 2.0};
-  const SwitchoverPlane plane(u, u);
-  EXPECT_TRUE(plane.degenerate());
-  EXPECT_EQ(plane.Classify(CostVector{3.0, 4.0}), Side::kOnPlane);
-}
-
-TEST(SwitchoverTest, ClassificationScaleInvariant) {
-  // Observation 1: scaling C cannot move it across the plane.
-  Rng rng(17);
-  for (int t = 0; t < 50; ++t) {
-    UsageVector a(3), b(3);
-    CostVector c(3);
-    for (int i = 0; i < 3; ++i) {
-      a[i] = rng.LogUniform(0.1, 1e4);
-      b[i] = rng.LogUniform(0.1, 1e4);
-      c[i] = rng.LogUniform(1e-3, 1e3);
-    }
-    const SwitchoverPlane plane(a, b);
-    const Side s1 = plane.Classify(c);
-    const Side s2 = plane.Classify(c * 1e6);
-    const Side s3 = plane.Classify(c * 1e-6);
-    EXPECT_EQ(s1, s2);
-    EXPECT_EQ(s1, s3);
-  }
-}
-
-TEST(EquicostTest, DetectsEqualCosts) {
-  const CostVector c{1.0, 1.0};
-  EXPECT_TRUE(
-      OnSameEquicostLine(UsageVector{2.0, 1.0}, UsageVector{1.0, 2.0}, c));
-  EXPECT_FALSE(
-      OnSameEquicostLine(UsageVector{2.0, 2.0}, UsageVector{1.0, 2.0}, c));
-}
-
-TEST(DominanceTest, ComponentwiseSmallerDominates) {
-  EXPECT_TRUE(Dominates(UsageVector{1.0, 1.0}, UsageVector{2.0, 1.0}));
-  EXPECT_TRUE(Dominates(UsageVector{1.0, 1.0}, UsageVector{2.0, 3.0}));
-  EXPECT_FALSE(Dominates(UsageVector{2.0, 1.0}, UsageVector{1.0, 2.0}));
-  EXPECT_FALSE(Dominates(UsageVector{1.0, 1.0}, UsageVector{1.0, 1.0}));
-}
-
-TEST(DominanceTest, FilterRemovesDominatedAndDuplicates) {
-  // Mirrors paper Figure 3: A1 and A5 are dominated.
-  std::vector<PlanUsage> plans = {
-      {"a1", UsageVector{5.0, 5.0}},  // dominated by a3
-      {"a2", UsageVector{1.0, 6.0}},
-      {"a3", UsageVector{3.0, 3.0}},
-      {"a4", UsageVector{6.0, 1.0}},
-      {"a5", UsageVector{7.0, 2.0}},  // dominated by a4
-      {"a2dup", UsageVector{1.0, 6.0}},
-  };
-  const std::vector<PlanUsage> kept = FilterDominated(std::move(plans));
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept[0].plan_id, "a2");
-  EXPECT_EQ(kept[1].plan_id, "a3");
-  EXPECT_EQ(kept[2].plan_id, "a4");
-
-  // Edge inputs: nothing to filter, and a lone plan that nothing dominates.
-  EXPECT_TRUE(FilterDominated({}, 0.0).empty());
-  const std::vector<PlanUsage> one = {{"solo", UsageVector{1.0, 2.0}}};
-  const std::vector<PlanUsage> solo = FilterDominated(one, 0.0);
-  ASSERT_EQ(solo.size(), 1u);
-  EXPECT_EQ(solo[0].plan_id, "solo");
-
-  // Random inputs seeded with exact duplicates and dominated copies, at
-  // several tolerances. A plan survives iff no other plan dominates it and
-  // no earlier plan equals it; survivors keep their input order and usage.
-  Rng rng(99);
-  for (int t = 0; t < 30; ++t) {
-    const size_t dims = 1 + rng.Index(6);
-    std::vector<PlanUsage> random;
-    const size_t base = 2 + rng.Index(20);
-    for (size_t p = 0; p < base; ++p) {
-      UsageVector u(dims);
-      for (size_t i = 0; i < dims; ++i) {
-        u[i] = rng.Uniform() < 0.2 ? 0.0 : rng.LogUniform(1.0, 1e4);
-      }
-      if (u.Sum() == 0.0) u[0] = 1.0;
-      random.push_back({"p" + std::to_string(p), std::move(u)});
-    }
-    const size_t extras = 1 + rng.Index(4);
-    for (size_t k = 0; k < extras; ++k) {
-      PlanUsage copy = random[rng.Index(base)];
-      copy.plan_id += "_copy" + std::to_string(k);
-      if (rng.Uniform() < 0.5) {
-        // Strictly worse in one coordinate: dominated.
-        copy.usage[rng.Index(dims)] += rng.LogUniform(1.0, 10.0);
-      }
-      random.push_back(std::move(copy));
-    }
-    for (double tol : {0.0, 1e-9, 0.5}) {
-      std::vector<const PlanUsage*> want;
-      for (size_t i = 0; i < random.size(); ++i) {
-        bool eliminated = false;
-        for (size_t j = 0; j < random.size(); ++j) {
-          if (i == j) continue;
-          eliminated = eliminated ||
-                       Dominates(random[j].usage, random[i].usage, tol) ||
-                       (j < i && linalg::ApproxEqual(random[j].usage,
-                                                     random[i].usage, tol));
-        }
-        if (!eliminated) want.push_back(&random[i]);
-      }
-      const std::vector<PlanUsage> got = FilterDominated(random, tol);
-      ASSERT_EQ(got.size(), want.size()) << "tol=" << tol;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].plan_id, want[i]->plan_id);
-        EXPECT_EQ(got[i].usage, want[i]->usage);
-      }
-    }
-  }
-}
-
-TEST(DominanceTest, DominatedPlanNeverOptimal) {
-  // Property: if a dominates b, then under every positive cost vector the
-  // cost of a is <= the cost of b.
-  Rng rng(23);
-  for (int t = 0; t < 100; ++t) {
-    const size_t n = 1 + rng.Index(5);
-    UsageVector a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = rng.LogUniform(0.1, 100.0);
-      b[i] = a[i] + rng.Uniform(0.0, 10.0);
-    }
-    if (!Dominates(a, b)) continue;
-    for (int k = 0; k < 10; ++k) {
-      CostVector c(n);
-      for (size_t i = 0; i < n; ++i) c[i] = rng.LogUniform(1e-3, 1e3);
-      EXPECT_LE(TotalCost(a, c), TotalCost(b, c) + 1e-9);
-    }
-  }
-}
 
 TEST(BoxTest, MultiplicativeBandBounds) {
   const Box box = Box::MultiplicativeBand(CostVector{24.1, 9.0, 1e-6}, 10.0);

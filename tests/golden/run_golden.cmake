@@ -1,6 +1,7 @@
 # Golden-stdout regression check, run as `cmake -P` from ctest:
 #
-#   cmake -DBINARY=<figure binary> -DEXPECTED=<committed .stdout>
+#   cmake -DBINARY=<figure, table or example binary> \
+#         -DEXPECTED=<committed .stdout>
 #         [-DTHREADS=N] [-DACTUAL_OUT=<dump path>] -P run_golden.cmake
 #
 # Runs the binary in quick mode at the requested thread count and

@@ -207,7 +207,7 @@ TEST(RulesTest, R6BansIntrinsicsOutsideLinalgSimd) {
           .empty());
   // Names that merely mention simd stay clean: only intrinsic spellings
   // trip the rule.
-  EXPECT_TRUE(AnalyzeSource("src/core/risk.cc",
+  EXPECT_TRUE(AnalyzeSource("src/core/worst_case.cc",
                             "double m = linalg::MinValueSimd(x, n);\n")
                   .empty());
 }

@@ -21,7 +21,9 @@
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
-# them: resilience under ASan, concurrency under TSan. Set
+# them: resilience plus the pinned examples under ASan (the examples run
+# the paper loop: optimizer -> discovery -> LP -> census), concurrency
+# under TSan. Set
 # COSTSENSE_CI_SKIP_SANITIZERS=1 to stop after the lint gate (fast local
 # pre-push loop).
 set -u
@@ -85,11 +87,11 @@ if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-stage "AddressSanitizer (build-asan/, ctest -L resilience)"
+stage "AddressSanitizer (build-asan/, ctest -L 'resilience|examples')"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DCOSTSENSE_ASAN=ON >/dev/null || exit 5
 cmake --build "$ROOT/build-asan" -j "$JOBS" || exit 5
-ctest --test-dir "$ROOT/build-asan" -L resilience --output-on-failure \
-  -j "$JOBS" || exit 5
+ctest --test-dir "$ROOT/build-asan" -L 'resilience|examples' \
+  --output-on-failure -j "$JOBS" || exit 5
 
 stage "ThreadSanitizer (build-tsan/, ctest -L concurrency)"
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DCOSTSENSE_TSAN=ON >/dev/null || exit 6

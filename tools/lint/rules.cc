@@ -555,8 +555,8 @@ std::vector<Finding> AnalyzeSource(const std::string& virtual_path,
             {virtual_path, t.line, t.col, Rule::kRawIntrinsics,
              "'" + t.text +
                  "' is a raw SIMD intrinsic outside src/linalg/simd* (R6); "
-                 "call through the dispatched kernels in "
-                 "linalg/simd_kernels.h so portability and the "
+                 "write portable scalar code, or put a measured kernel "
+                 "under src/linalg/simd* so portability and the "
                  "bit-compatibility contracts stay centralized",
              ""});
       }
