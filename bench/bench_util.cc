@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "exp/query_context.h"
 #include "exp/report.h"
 #include "runtime/cache_store.h"
 #include "runtime/sink/stages.h"
@@ -21,10 +22,7 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config) {
       bench.queries.push_back(tpch::MakeTpchQuery(bench.catalog, qn));
     }
     bench.options.deltas = {2, 10, 100, 1000};
-    bench.options.discovery.random_samples = 16;
-    bench.options.discovery.sampled_vertices = 48;
-    bench.options.discovery.bisection_depth = 3;
-    bench.options.discovery.completeness_rounds = 1;
+    bench.options.discovery = exp::QuickDiscoveryOptions();
   } else {
     bench.queries = tpch::MakeTpchQueries(bench.catalog);
     bench.options.deltas = {2, 5, 10, 100, 1000, 10000};
@@ -67,15 +65,9 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   // corruption/mismatch, with typed telemetry), warm every per-query
   // stack, and save the merged warmth back on the way out. Warm or cold,
   // figure stdout is byte-identical — only the counters move.
-  std::unique_ptr<runtime::CacheStore> store;
-  if (!eng.config().cache_path.empty()) {
-    runtime::CacheStoreOptions store_options;
-    store_options.path = eng.config().cache_path;
-    store_options.catalog_hash = config.catalog.Fingerprint();
-    store_options.mantissa_bits = config.options.cache.mantissa_bits;
-    store = std::make_unique<runtime::CacheStore>(std::move(store_options));
-    config.options.store = store.get();
-  }
+  const std::unique_ptr<runtime::CacheStore> store = exp::OpenCacheStore(
+      config.catalog, eng.config().cache_path, config.options.cache);
+  config.options.store = store.get();
 
   const exp::FigureRunner runner(config.catalog, config.options);
   runtime::ThreadPool& pool = eng.pool();

@@ -11,17 +11,17 @@
 //                    serve_queue=Q serve_deadline_ms=MS cache_path=FILE
 //                    serve_stats_interval_ms=MS serve_idle_timeout_ms=MS
 //                    serve_drain_timeout_ms=MS ...]
-//                   [--max-sessions=N] [--drain-timeout-ms=MS]
+//                   [--max-sessions=N]
 //
 // --max-sessions=N exits after N sessions finish (benches and tests use
 // this for a drivable shutdown; 0 = serve until the socket is torn down).
-// --drain-timeout-ms=MS bounds shutdown against a wedged session (same
-// knob as serve_drain_timeout_ms; the flag wins). With cache_path set the
-// server loads the oracle-cache snapshot at startup (cold on corruption or
-// catalog mismatch, with typed telemetry) and persists it on clean
-// shutdown; with serve_stats_interval_ms set it writes periodic stats
-// snapshots through the artifact sinks while serving, not only at
-// shutdown, and reaps idle sessions on the same cadence.
+// serve_drain_timeout_ms bounds shutdown against a wedged session. With
+// cache_path set the server loads the oracle-cache snapshot at startup
+// (cold on corruption or catalog mismatch, with typed telemetry) and
+// persists it on clean shutdown; with serve_stats_interval_ms set it
+// writes periodic stats snapshots through the artifact sinks while
+// serving, not only at shutdown, and reaps idle sessions on the same
+// cadence.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -29,6 +29,7 @@
 
 #include "bench/bench_util.h"
 #include "engine/artifact.h"
+#include "exp/report.h"
 #include "runtime/metrics.h"
 #include "serve/server.h"
 #include "serve/snapshotter.h"
@@ -39,19 +40,12 @@ namespace {
 
 int ServeMain(engine::Engine& eng, int argc, char** argv) {
   size_t max_sessions = 0;
-  size_t drain_timeout_ms_flag = 0;
-  bool drain_flag_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::string sessions_prefix = "--max-sessions=";
-    const std::string drain_prefix = "--drain-timeout-ms=";
     if (arg.rfind(sessions_prefix, 0) == 0) {
       max_sessions =
           static_cast<size_t>(std::atol(arg.c_str() + sessions_prefix.size()));
-    } else if (arg.rfind(drain_prefix, 0) == 0) {
-      drain_timeout_ms_flag =
-          static_cast<size_t>(std::atol(arg.c_str() + drain_prefix.size()));
-      drain_flag_set = true;
     } else {
       std::fprintf(stderr, "costsense-serve: unknown argument %s\n",
                    arg.c_str());
@@ -68,18 +62,11 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
       static_cast<uint64_t>(config.serve_deadline_ms) * 1'000'000ULL;
   options.dispatcher.pool = &eng.pool();
   options.dispatcher.cache_path = config.cache_path;
-  const size_t drain_timeout_ms =
-      drain_flag_set ? drain_timeout_ms_flag : config.serve_drain_timeout_ms;
   options.drain_timeout_ns =
-      static_cast<uint64_t>(drain_timeout_ms) * 1'000'000ULL;
+      static_cast<uint64_t>(config.serve_drain_timeout_ms) * 1'000'000ULL;
   options.idle_timeout_ns =
       static_cast<uint64_t>(config.serve_idle_timeout_ms) * 1'000'000ULL;
-  if (config.quick) {
-    options.dispatcher.discovery.random_samples = 16;
-    options.dispatcher.discovery.sampled_vertices = 48;
-    options.dispatcher.discovery.bisection_depth = 3;
-    options.dispatcher.discovery.completeness_rounds = 1;
-  }
+  if (config.quick) options.dispatcher.discovery = exp::QuickDiscoveryOptions();
   serve::Server server(options);
 
   Result<std::unique_ptr<serve::SocketListener>> listener =
@@ -93,7 +80,8 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
                "costsense-serve: listening on %s (inflight=%zu queue=%zu "
                "deadline_ms=%zu drain_ms=%zu idle_ms=%zu threads=%zu)\n",
                config.serve_socket.c_str(), options.max_inflight,
-               options.max_queued, config.serve_deadline_ms, drain_timeout_ms,
+               options.max_queued, config.serve_deadline_ms,
+               config.serve_drain_timeout_ms,
                config.serve_idle_timeout_ms, eng.pool().num_threads());
 
   // The periodic in-flight stats snapshotter (and idle watchdog driver);

@@ -21,9 +21,4 @@ core::OracleResult NarrowOptimizer::Optimize(const core::CostVector& c) {
 
 size_t NarrowOptimizer::dims() const { return optimizer_.space().dims(); }
 
-Result<opt::Optimized> NarrowOptimizer::Inspect(
-    const core::CostVector& c) const {
-  return optimizer_.Optimize(query_, c);
-}
-
 }  // namespace costsense::blackbox

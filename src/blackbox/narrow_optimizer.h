@@ -30,11 +30,6 @@ class NarrowOptimizer : public core::PlanOracle {
   /// Optimize() touches no other mutable state, so one NarrowOptimizer may
   /// be shared by concurrent probes (e.g. behind runtime::CachingOracle).
   size_t calls() const { return calls_.load(std::memory_order_relaxed); }
-  void ResetCallCount() { calls_.store(0, std::memory_order_relaxed); }
-
-  /// Re-runs the optimizer at `c` and returns the full plan (for EXPLAIN
-  /// inspection once an interesting cost point is identified).
-  [[nodiscard]] Result<opt::Optimized> Inspect(const core::CostVector& c) const;
 
  private:
   const opt::Optimizer& optimizer_;

@@ -6,20 +6,4 @@ double TotalCost(const UsageVector& usage, const CostVector& costs) {
   return linalg::Dot(usage, costs);
 }
 
-const char* DimClassName(DimClass cls) {
-  switch (cls) {
-    case DimClass::kTable:
-      return "table";
-    case DimClass::kIndex:
-      return "index";
-    case DimClass::kTemp:
-      return "temp";
-    case DimClass::kCpu:
-      return "cpu";
-    case DimClass::kOther:
-      return "other";
-  }
-  return "other";
-}
-
 }  // namespace costsense::core

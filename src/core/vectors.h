@@ -43,9 +43,6 @@ struct DimInfo {
   std::string name;
 };
 
-/// Returns the name of a DimClass ("table", "index", ...).
-const char* DimClassName(DimClass cls);
-
 }  // namespace costsense::core
 
 #endif  // COSTSENSE_CORE_VECTORS_H_

@@ -30,7 +30,6 @@ namespace costsense::engine {
 ///   artifact_json  COSTSENSE_ARTIFACT_JSON  structured-artifact sidecar
 ///                                           path (JSON lines)
 ///   cache_entries  COSTSENSE_CACHE_ENTRIES  oracle-cache entry bound >= 1
-///   cache_shards   COSTSENSE_CACHE_SHARDS   oracle-cache shard count >= 1
 ///   serve_inflight COSTSENSE_SERVE_INFLIGHT server: concurrent requests
 ///                                           >= 1
 ///   serve_queue    COSTSENSE_SERVE_QUEUE    server: admission wait-queue

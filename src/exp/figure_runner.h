@@ -9,7 +9,7 @@
 #include "core/complementarity.h"
 #include "core/discovery.h"
 #include "core/vectors.h"
-#include "runtime/oracle_stack.h"
+#include "exp/query_context.h"
 #include "query/query.h"
 #include "runtime/cache_store.h"
 #include "runtime/oracle_cache.h"
@@ -59,22 +59,14 @@ struct QueryAnalysis {
   size_t oracle_failures = 0;
   /// Fault events the injector actually delivered (its own log).
   size_t faults_injected = 0;
-  /// Driver-side view: probe points this analysis skipped or routed to a
-  /// fallback because their oracle call failed. With a zero retry budget
+  /// Driver-side view: discovery probe points this analysis skipped
+  /// because their oracle call failed. With a zero retry budget
   /// each injected fault surfaces as exactly one degraded point, so
   /// degraded_points == oracle_failures == faults_injected.
   size_t degraded_points = 0;
   /// Fraction of resilient oracle calls that produced a usable reply; 1.0
   /// marks a full-coverage (non-degraded) analysis.
   double probe_coverage = 1.0;
-};
-
-/// One point of a worst-case curve (paper Figures 5-7): at error level
-/// `delta`, the initial plan can be `gtc` times costlier than optimal.
-struct GtcPoint {
-  double delta = 1.0;
-  double gtc = 1.0;
-  std::string worst_rival;
 };
 
 /// A full curve for one query.
@@ -115,19 +107,17 @@ class FigureRunner {
     /// Memoizing oracle cache applied around each per-query optimizer.
     runtime::OracleCacheOptions cache;
     /// Optional snapshot store (not owned; null = no persistence). Each
-    /// per-query stack imports the scope "<query>/<layout>" before its
-    /// first probe and publishes its cache back after a successful
-    /// analysis; the owner decides when to CacheStore::Save(). Thread-safe
-    /// for AnalyzeMany's fan-out. Warm analyses produce byte-identical
+    /// per-query QueryContext imports its scope before its first probe
+    /// and publishes its cache back after a successful analysis; the
+    /// owner decides when to CacheStore::Save(). Thread-safe for
+    /// AnalyzeMany's fan-out. Warm analyses produce byte-identical
     /// content (imported results were computed at the same canonical
     /// points); only the hit/miss split moves.
     runtime::CacheStore* store = nullptr;
-    /// Optional fault-injection + retry tier. When enabled the per-query
-    /// runtime::OracleStack is built with its resilience tiers (see
-    /// runtime/oracle_stack.h for the decorator order and why faults sit
-    /// above the cache). Analyze probes the stack's top either way and
-    /// degrades gracefully instead of failing: probes the stack cannot
-    /// answer are skipped and accounted in the QueryAnalysis counters.
+    /// Optional fault-injection + retry tier: when enabled, each analysis
+    /// probes through runtime::BuildProbeTier's retry tier (see
+    /// runtime/oracle_stack.h). Probes it cannot answer are skipped and
+    /// accounted in the QueryAnalysis counters instead of failing.
     /// With fault_rate 0, or any fault rate whose bursts the retry budget
     /// absorbs (max_retries > max_burst), analysis content is
     /// byte-identical to the tier being off.
@@ -156,8 +146,9 @@ class FigureRunner {
       storage::LayoutPolicy policy) const;
 
   /// Evaluates the worst-case curve from an analysis (pure geometry; no
-  /// further optimizer calls). Per-rival fractional programs fan out over
-  /// the pool.
+  /// further optimizer calls) through exp::WorstCaseCurve, the loop the
+  /// serve gtcseries request runs too. Per-rival fractional programs fan
+  /// out over the pool.
   [[nodiscard]] Result<FigureSeries> GtcSeries(const QueryAnalysis& analysis) const;
 
   /// Section 8.2's census of the candidate plan set.

@@ -58,4 +58,13 @@ std::string RenderComplementarityTable(
 
 std::vector<int> QuickQueryNumbers() { return {1, 8, 11, 16, 19, 20}; }
 
+core::DiscoveryOptions QuickDiscoveryOptions() {
+  core::DiscoveryOptions options;
+  options.random_samples = 16;
+  options.sampled_vertices = 48;
+  options.bisection_depth = 3;
+  options.completeness_rounds = 1;
+  return options;
+}
+
 }  // namespace costsense::exp

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/complementarity.h"
+#include "core/discovery.h"
 #include "exp/figure_runner.h"
 
 namespace costsense::exp {
@@ -31,6 +32,11 @@ std::string RenderComplementarityTable(
 /// setting — EngineConfig::quick, from COSTSENSE_QUICK — threaded to
 /// benches as a parameter; report stays env-free.
 std::vector<int> QuickQueryNumbers();
+
+/// The quick-mode discovery budget, light enough that one quick analysis
+/// or serve request costs tens of milliseconds. perfbench's serve_warm
+/// keeps a literal copy of its four values.
+core::DiscoveryOptions QuickDiscoveryOptions();
 
 }  // namespace costsense::exp
 

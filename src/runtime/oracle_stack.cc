@@ -2,14 +2,6 @@
 
 namespace costsense::runtime {
 
-StackTelemetry OracleStack::telemetry() const {
-  StackTelemetry t;
-  t.cache = cache_->stats();
-  if (injector_ != nullptr) t.faults = injector_->log();
-  if (resilient_ != nullptr) t.resilience = resilient_->stats();
-  return t;
-}
-
 void OracleStack::PublishToStore() {
   if (store_ == nullptr || scope_.empty()) return;
   store_->Publish(scope_, cache_->Export());
@@ -18,17 +10,6 @@ void OracleStack::PublishToStore() {
 OracleStackBuilder& OracleStackBuilder::WithCache(
     const OracleCacheOptions& options) {
   cache_ = options;
-  return *this;
-}
-
-OracleStackBuilder& OracleStackBuilder::WithResilience(
-    const resilience::FaultInjectionOptions& faults,
-    const resilience::ResilientOracleOptions& retry,
-    resilience::Clock* clock) {
-  resilience_ = true;
-  faults_ = faults;
-  retry_ = retry;
-  clock_ = clock;
   return *this;
 }
 
@@ -53,18 +34,38 @@ OracleStack OracleStackBuilder::Build(core::PlanOracle& base,
     // it just skips the optimizer invocations.
     (void)stack.cache_->Import(store_->EntriesFor(scope));
   }
-  if (resilience_) {
-    stack.injector_ = std::make_unique<resilience::FaultInjectingOracle>(
-        *stack.cache_, faults_, clock_);
-    stack.resilient_ = std::make_unique<resilience::ResilientOracle>(
-        *stack.injector_, retry_, clock_);
-    stack.top_ = stack.resilient_.get();
-  } else {
-    stack.adapter_ = std::make_unique<core::InfallibleOracleAdapter>(
-        *stack.cache_);
-    stack.top_ = stack.adapter_.get();
-  }
   return stack;
+}
+
+ProbeTelemetry ProbeTier::telemetry() const {
+  ProbeTelemetry t;
+  if (injector_ != nullptr) t.faults = injector_->log();
+  if (resilient_ != nullptr) t.resilience = resilient_->stats();
+  return t;
+}
+
+ProbeTier BuildProbeTier(
+    CachingOracle& cache,
+    const std::optional<resilience::ResilientOracleOptions>& retry,
+    const resilience::FaultInjectionOptions& faults,
+    resilience::Clock* clock) {
+  ProbeTier tier;
+  core::FalliblePlanOracle* below = nullptr;
+  if (retry.has_value() &&
+      (faults.fault_rate > 0.0 || faults.perturb_rate > 0.0)) {
+    tier.injector_ = std::make_unique<resilience::FaultInjectingOracle>(
+        cache, faults, clock);
+    below = tier.injector_.get();
+  } else {
+    tier.adapter_ = std::make_unique<core::InfallibleOracleAdapter>(cache);
+    below = tier.adapter_.get();
+  }
+  if (retry.has_value()) {
+    tier.resilient_ =
+        std::make_unique<resilience::ResilientOracle>(*below, *retry, clock);
+  }
+  tier.top_ = retry.has_value() ? tier.resilient_.get() : below;
+  return tier;
 }
 
 }  // namespace costsense::runtime

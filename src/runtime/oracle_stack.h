@@ -2,6 +2,7 @@
 #define COSTSENSE_RUNTIME_ORACLE_STACK_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -14,54 +15,19 @@
 
 namespace costsense::runtime {
 
-/// One snapshot of every decorator's counters — the metrics-recorder tier
-/// of the stack. Fields for tiers that were not built stay zero.
-struct StackTelemetry {
-  OracleCacheStats cache;
-  resilience::FaultLog faults;
-  resilience::ResilienceStats resilience;
-};
-
-/// An assembled PlanOracle decorator chain over a base optimizer oracle.
-/// Every stack has one fallible top, oracle(), that drivers probe:
+/// The long-lived half of a PlanOracle decorator chain: the memoizing
+/// CachingOracle over a base optimizer oracle, bound to the persistence
+/// scope it imports from and publishes back to. One stack lives as long
+/// as its (query, layout) context; every run or request probes it through
+/// a ProbeTier stacked on top (BuildProbeTier below).
 ///
-///   default:          drivers -> InfallibleOracleAdapter -> CachingOracle
-///                             -> base (e.g. blackbox::NarrowOptimizer)
-///   WithResilience:   drivers -> ResilientOracle -> FaultInjectingOracle
-///                             -> CachingOracle -> base
-///
-/// The default top is a lock-free pass-through, so fault-free drivers pay
-/// nothing for speaking the fallible interface. Faults are injected
-/// *above* the cache: a retried probe re-enters the injector (consuming
-/// its burst) and then lands on the warm cache, so retries cost no
-/// optimizer invocations and the cache only ever holds clean replies.
-/// This order is what makes figure output byte-identical under absorbed
-/// faults, and OracleStack is the one place it is encoded.
-///
-/// The base oracle is not owned and must outlive the stack. Every layer
-/// also remains individually constructible (CachingOracle,
-/// FaultInjectingOracle, ResilientOracle) for targeted tests.
+/// The base oracle is not owned and must outlive the stack.
 class OracleStack {
  public:
-  OracleStack(OracleStack&&) = default;
-  OracleStack& operator=(OracleStack&&) = default;
-
-  /// The memoizing tier; always present. Infallible callers, and fault
-  /// injectors stacked per request above a shared cache (as the serve
-  /// Dispatcher does), probe this directly.
+  /// The memoizing tier. Infallible callers probe this directly; probe
+  /// tiers stack above it.
   CachingOracle& cache() { return *cache_; }
   const CachingOracle& cache() const { return *cache_; }
-
-  /// Top of the chain; always present. Without the resilience tier it
-  /// forwards to the cache and never fails.
-  core::FalliblePlanOracle& oracle() { return *top_; }
-
-  /// The fault tier, or nullptr without resilience (tests reach in to
-  /// read the fault log).
-  resilience::FaultInjectingOracle* injector() { return injector_.get(); }
-
-  /// Snapshot of all per-tier counters.
-  StackTelemetry telemetry() const;
 
   /// Publishes the cache's current contents back to the persistence scope
   /// this stack was built with (no-op for stacks built without a store).
@@ -73,10 +39,6 @@ class OracleStack {
   OracleStack() = default;
 
   std::unique_ptr<CachingOracle> cache_;
-  std::unique_ptr<resilience::FaultInjectingOracle> injector_;
-  std::unique_ptr<resilience::ResilientOracle> resilient_;
-  std::unique_ptr<core::InfallibleOracleAdapter> adapter_;
-  core::FalliblePlanOracle* top_ = nullptr;  // resilient_ or adapter_
   CacheStore* store_ = nullptr;  // not owned
   std::string scope_;
 };
@@ -85,17 +47,8 @@ class OracleStack {
 /// many per-query stacks (Build is const).
 class OracleStackBuilder {
  public:
-  OracleStackBuilder() = default;
-
-  /// Sizing for the memoizing tier (always built).
+  /// Sizing for the memoizing tier.
   OracleStackBuilder& WithCache(const OracleCacheOptions& options);
-
-  /// Enables the fault-injection + retry tiers. `clock` drives latency
-  /// faults, backoff and deadlines; null = real steady clock.
-  OracleStackBuilder& WithResilience(
-      const resilience::FaultInjectionOptions& faults,
-      const resilience::ResilientOracleOptions& retry,
-      resilience::Clock* clock = nullptr);
 
   /// Attaches a snapshot store (not owned; may be null to detach).
   /// Stacks built with a non-empty scope import the store's entries for
@@ -111,12 +64,63 @@ class OracleStackBuilder {
 
  private:
   OracleCacheOptions cache_;
-  bool resilience_ = false;
-  resilience::FaultInjectionOptions faults_;
-  resilience::ResilientOracleOptions retry_;
-  resilience::Clock* clock_ = nullptr;
   CacheStore* store_ = nullptr;  // not owned
 };
+
+/// A probe tier's counters; fields of decorators not built stay zero.
+struct ProbeTelemetry {
+  resilience::FaultLog faults;
+  resilience::ResilienceStats resilience;
+};
+
+/// The per-run top of the decorator chain over a shared cache — what one
+/// figure analysis or one serve request probes:
+///
+///   retry tier:     drivers -> ResilientOracle -> FaultInjectingOracle
+///                           (InfallibleOracleAdapter when nothing
+///                           injects) -> CachingOracle -> base
+///   no retry tier:  drivers -> InfallibleOracleAdapter -> CachingOracle
+///
+/// The adapter is a lock-free pass-through, so fault-free drivers pay
+/// nothing for speaking the fallible interface. Faults are injected
+/// *above* the cache: a retried probe re-enters the injector (consuming
+/// its burst) and then lands on the warm cache, so retries cost no
+/// optimizer invocations and the cache only ever holds clean replies.
+/// That order is what keeps figure output byte-identical under absorbed
+/// faults, and BuildProbeTier is the one place it is encoded.
+class ProbeTier {
+ public:
+  /// Top of the tier; never fails without a retry tier.
+  core::FalliblePlanOracle& oracle() { return *top_; }
+  /// The fault tier, or nullptr when none was built.
+  resilience::FaultInjectingOracle* injector() { return injector_.get(); }
+  ProbeTelemetry telemetry() const;
+
+ private:
+  friend ProbeTier BuildProbeTier(
+      CachingOracle& cache,
+      const std::optional<resilience::ResilientOracleOptions>& retry,
+      const resilience::FaultInjectionOptions& faults,
+      resilience::Clock* clock);
+  ProbeTier() = default;
+
+  std::unique_ptr<resilience::FaultInjectingOracle> injector_;
+  std::unique_ptr<core::InfallibleOracleAdapter> adapter_;
+  std::unique_ptr<resilience::ResilientOracle> resilient_;
+  core::FalliblePlanOracle* top_ = nullptr;  // resilient_ or adapter_
+};
+
+/// Builds the per-run probe tier over `cache` (not owned; must outlive the
+/// tier). With `retry` set the top is a ResilientOracle, over a
+/// FaultInjectingOracle exactly when `faults` injects (fault_rate > 0 or
+/// perturb_rate > 0); without it the top is the adapter and `faults` is
+/// ignored. `clock` drives latency faults, backoff and deadlines; null =
+/// real steady clock.
+ProbeTier BuildProbeTier(
+    CachingOracle& cache,
+    const std::optional<resilience::ResilientOracleOptions>& retry,
+    const resilience::FaultInjectionOptions& faults = {},
+    resilience::Clock* clock = nullptr);
 
 }  // namespace costsense::runtime
 

@@ -44,22 +44,6 @@ constexpr size_t kNumShards = 16;  // power of two
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kTransientError:
-      return "transient";
-    case FaultKind::kLatencyOverrun:
-      return "latency";
-    case FaultKind::kGarbageCost:
-      return "garbage-cost";
-    case FaultKind::kInvalidPlanId:
-      return "invalid-plan";
-  }
-  return "unknown";
-}
-
 /// Everything the injector decided about one cost-vector key, fixed at
 /// first touch from the key's forked RNG stream and immutable afterwards.
 /// `attempts` is the only mutable field; fetch_add distributes attempt

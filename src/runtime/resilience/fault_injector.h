@@ -26,9 +26,6 @@ enum class FaultKind {
   kInvalidPlanId,
 };
 
-/// Returns a human-readable name for `kind` (e.g. "transient").
-const char* FaultKindName(FaultKind kind);
-
 /// Tuning for FaultInjectingOracle. Fault decisions are a pure function of
 /// (seed, quantized cost vector, attempt index at that vector), so a run is
 /// reproducible at any thread count and any probe interleaving.

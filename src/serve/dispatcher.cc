@@ -1,17 +1,13 @@
 #include "serve/dispatcher.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "blackbox/narrow_optimizer.h"
-#include "common/macros.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "core/worst_case.h"
-#include "opt/optimizer.h"
-#include "query/query.h"
-#include "runtime/resilience/resilient_oracle.h"
+#include "runtime/oracle_stack.h"
 #include "runtime/sink/stages.h"
 #include "storage/layout.h"
 #include "tpch/queries.h"
@@ -19,63 +15,13 @@
 
 namespace costsense::serve {
 
-/// The shared half of a request: one TPC-H query under one storage layout,
-/// its optimizer, and the long-lived memoizing cache every request against
-/// this pair probes through. Immutable after construction except through
-/// the thread-safe oracle layers.
-struct Dispatcher::QueryContext {
-  QueryContext(const catalog::Catalog& catalog, query::Query q,
-               storage::LayoutPolicy policy,
-               const runtime::OracleStackBuilder& builder)
-      : query(std::move(q)),
-        layout(policy, catalog, query::ReferencedTables(query)),
-        space(layout.BuildResourceSpace()),
-        optimizer(catalog, layout, space),
-        narrow(optimizer, query, /*white_box=*/true),
-        // The persistence scope matches the figure drivers'
-        // "<query>/<layout>" spelling, so a server restart can warm from a
-        // sweep's snapshot and vice versa.
-        stack(builder.Build(
-            narrow, query.name + "/" + storage::LayoutPolicyName(policy))),
-        baseline(space.BaselineCosts()) {
-    // The initial plan — optimal at the DB2-default baseline — is a
-    // property of the (query, layout) pair, so it is computed once here
-    // and shared by every request. The probe also warms the cache at the
-    // box center every multiplicative band shares.
-    const core::OracleResult initial = stack.cache().Optimize(baseline);
-    COSTSENSE_CHECK(initial.usage.has_value());
-    initial_plan_id = initial.plan_id;
-    initial_usage = *initial.usage;
-  }
-
-  query::Query query;
-  storage::StorageLayout layout;
-  storage::ResourceSpace space;
-  opt::Optimizer optimizer;
-  blackbox::NarrowOptimizer narrow;
-  runtime::OracleStack stack;
-  core::CostVector baseline;
-  std::string initial_plan_id;
-  core::UsageVector initial_usage;
-};
-
-Dispatcher::~Dispatcher() = default;
-
 Dispatcher::Dispatcher(DispatcherOptions options)
     : options_(std::move(options)),
-      catalog_(tpch::MakeTpchCatalog(options_.scale_factor)) {
-  if (!options_.cache_path.empty()) {
-    runtime::CacheStoreOptions store_options;
-    store_options.path = options_.cache_path;
-    store_options.catalog_hash = catalog_.Fingerprint();
-    store_options.mantissa_bits = options_.cache.mantissa_bits;
-    store_ = std::make_unique<runtime::CacheStore>(std::move(store_options));
-  }
-  builder_.WithCache(options_.cache);
-  builder_.WithStore(store_.get());
-}
+      catalog_(tpch::MakeTpchCatalog(100.0)),
+      store_(exp::OpenCacheStore(catalog_, options_.cache_path,
+                                 options_.cache)) {}
 
-Dispatcher::QueryContext& Dispatcher::GetContext(
+Result<exp::QueryContext*> Dispatcher::GetContext(
     uint16_t query_number, storage::LayoutPolicy policy) {
   const auto key = std::make_pair(query_number, static_cast<int>(policy));
   std::lock_guard<std::mutex> lock(mu_);
@@ -84,16 +30,16 @@ Dispatcher::QueryContext& Dispatcher::GetContext(
     // Materialization runs under the dispatcher lock: it costs one
     // baseline optimization, and serializing it guarantees exactly one
     // shared cache per (query, policy) no matter how requests race.
-    it = contexts_
-             // costsense-lint: allow(R8, "context materialization must be atomic with map insertion so racing requests share one cache per (query, policy)")
-             .emplace(key, std::make_unique<QueryContext>(
-                               catalog_,
-                               tpch::MakeTpchQuery(
-                                   catalog_, static_cast<int>(query_number)),
-                               policy, builder_))
-             .first;
+    Result<std::unique_ptr<exp::QueryContext>> made =
+        // costsense-lint: allow(R8, "context materialization must be atomic with map insertion so racing requests share one cache per (query, policy)")
+        exp::QueryContext::Create(
+            catalog_,
+            tpch::MakeTpchQuery(catalog_, static_cast<int>(query_number)),
+            policy, /*white_box=*/true, options_.cache, store_.get());
+    if (!made.ok()) return made.status();
+    it = contexts_.emplace(key, std::move(*made)).first;
   }
-  return *it->second;
+  return it->second.get();
 }
 
 AnalysisResponse Dispatcher::Handle(const AnalysisRequest& request) {
@@ -109,8 +55,10 @@ AnalysisResponse Dispatcher::Handle(const AnalysisRequest& request) {
 
 Status Dispatcher::HandleStreaming(const AnalysisRequest& request,
                                    runtime::sink::Sink& records) {
-  QueryContext& ctx = GetContext(request.query_number, request.policy);
-  const Status st = Render(request, ctx, records);
+  Result<exp::QueryContext*> ctx =
+      GetContext(request.query_number, request.policy);
+  const Status st =
+      ctx.ok() ? Render(request, **ctx, records) : ctx.status();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++requests_;
@@ -119,28 +67,20 @@ Status Dispatcher::HandleStreaming(const AnalysisRequest& request,
   return st;
 }
 
-Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
-                          runtime::sink::Sink& out) {
-  // The per-request half of the oracle chain, stacked above the shared
-  // cache in the canonical decorator order (runtime/oracle_stack.h):
-  // ResilientOracle (request deadline, no retries) over an optional
-  // fault injector over the context's long-lived CachingOracle (through
-  // the stack's own top when no injector is configured). Deadlines and
-  // faults stay request-local; computed points are shared.
-  runtime::resilience::Clock* clock = options_.clock;
-  std::unique_ptr<runtime::resilience::FaultInjectingOracle> injector;
-  core::FalliblePlanOracle* base = &ctx.stack.oracle();
-  if (options_.fault_injection) {
-    injector = std::make_unique<runtime::resilience::FaultInjectingOracle>(
-        ctx.stack.cache(), options_.faults, clock);
-    base = injector.get();
-  }
+Status Dispatcher::Render(const AnalysisRequest& request,
+                          exp::QueryContext& ctx, runtime::sink::Sink& out) {
+  // The per-request probe tier over the context's long-lived cache
+  // (runtime/oracle_stack.h): a ResilientOracle carrying the request
+  // deadline, with no retries, over a fault injector when the options
+  // inject. Deadlines and faults stay request-local; computed points are
+  // shared.
   runtime::resilience::ResilientOracleOptions retry;
   retry.max_retries = 0;
   retry.run_deadline_ns = request.deadline_ns != 0
                               ? request.deadline_ns
                               : options_.default_deadline_ns;
-  runtime::resilience::ResilientOracle resilient(*base, retry, clock);
+  runtime::ProbeTier tier = runtime::BuildProbeTier(
+      ctx.stack.cache(), retry, options_.faults, options_.clock);
 
   // Plans are discovered once over the widest requested band; candidate
   // sets for narrower bands are subsets (usage vectors are
@@ -166,14 +106,14 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
   discovery.pool = options_.pool != nullptr ? options_.pool
                                             : &runtime::ThreadPool::Global();
   Result<core::DiscoveryResult> d =
-      core::DiscoverCandidatePlans(resilient, box, rng, discovery);
+      core::DiscoverCandidatePlans(tier.oracle(), box, rng, discovery);
   if (!d.ok()) return d.status();
 
   // A request whose budget ran out mid-analysis reports a typed error
   // rather than a silently partial body: partial plan sets are not
   // deterministic functions of the request, and the invariant is that
   // every kOk body is.
-  const runtime::resilience::ResilienceStats rs = resilient.stats();
+  const runtime::resilience::ResilienceStats rs = tier.telemetry().resilience;
   if (rs.failures > 0) {
     const std::string detail = StrFormat(
         "%zu of %zu oracle probe(s) failed; analysis "
@@ -219,28 +159,27 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
     case AnalysisKind::kGtcSeries: {
       // Worst-case global relative cost per requested delta, in request
       // order, via the exact linear-fractional program (no further oracle
-      // calls). kWorstCase is the single-delta special case; an explicit
-      // box replaces its LP region (a gtcseries curve stays
-      // delta-parameterized by definition).
+      // calls) — the figure drivers' curve loop. kWorstCase is the
+      // single-delta special case; an explicit box replaces its LP region
+      // (a gtcseries curve stays delta-parameterized by definition).
+      const auto write = [&out](const exp::GtcPoint& p) {
+        return out.Write(StrFormat("delta=%s gtc=%s rival=%s\n",
+                                   FormatDouble(p.delta).c_str(),
+                                   FormatDouble(p.gtc).c_str(),
+                                   p.worst_rival.c_str()));
+      };
+      if (request.kind == AnalysisKind::kWorstCase && request.box.has_value()) {
+        const Result<exp::GtcPoint> p =
+            exp::WorstCasePoint(ctx.initial_usage, plans, *request.box,
+                                request.deltas[0], discovery.pool);
+        return p.ok() ? write(*p) : p.status();
+      }
       const size_t count =
           request.kind == AnalysisKind::kWorstCase ? 1 : request.deltas.size();
-      for (size_t i = 0; i < count; ++i) {
-        const bool explicit_box = request.kind == AnalysisKind::kWorstCase &&
-                                  request.box.has_value();
-        const core::Box delta_box =
-            explicit_box ? *request.box
-                         : core::Box::MultiplicativeBand(ctx.baseline,
-                                                         request.deltas[i]);
-        Result<core::WorstCaseResult> wc = core::WorstCaseOverPlansByLp(
-            ctx.initial_usage, plans, delta_box, discovery.pool);
-        if (!wc.ok()) return wc.status();
-        st = out.Write(StrFormat("delta=%s gtc=%s rival=%s\n",
-                                 FormatDouble(request.deltas[i]).c_str(),
-                                 FormatDouble(wc->gtc).c_str(),
-                                 wc->worst_rival.c_str()));
-        if (!st.ok()) return st;
-      }
-      break;
+      return exp::WorstCaseCurve(
+          ctx.initial_usage, plans, ctx.baseline,
+          std::span<const double>(request.deltas.data(), count),
+          discovery.pool, write);
     }
   }
   return Status::Ok();

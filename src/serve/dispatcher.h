@@ -10,7 +10,7 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "core/discovery.h"
-#include "runtime/oracle_stack.h"
+#include "exp/query_context.h"
 #include "runtime/cache_store.h"
 #include "runtime/oracle_cache.h"
 #include "runtime/resilience/clock.h"
@@ -34,20 +34,18 @@ struct DispatcherOptions {
   /// Deadline applied when a request carries deadline_ns == 0.
   /// 0 = unlimited.
   uint64_t default_deadline_ns = 0;
-  /// Optional deterministic fault injection between the per-request
-  /// resilient tier and the shared cache (tests drive deadline behaviour
-  /// with latency faults on a ManualClock; production servers leave this
-  /// off). The per-request tier never retries: a deterministic cache
+  /// Deterministic fault injection between the per-request retry tier and
+  /// the shared cache; an injector is built only when these inject
+  /// (fault_rate > 0 or perturb_rate > 0). Tests drive deadline behaviour
+  /// with latency faults on a ManualClock; production servers leave the
+  /// defaults. The per-request tier never retries: a deterministic cache
   /// gives the same reply on a retry, so only the deadline matters.
-  bool fault_injection = false;
   runtime::resilience::FaultInjectionOptions faults;
   /// Pool the per-request discovery probes and per-rival LPs fan out on;
   /// null uses the process-global pool.
   runtime::ThreadPool* pool = nullptr;
   /// Clock for deadlines and latency faults; null = real steady clock.
   runtime::resilience::Clock* clock = nullptr;
-  /// TPC-H catalog scale factor (the paper's experiments use 100).
-  double scale_factor = 100.0;
   /// Oracle-cache snapshot file (COSTSENSE_CACHE_PATH); empty = no
   /// persistence. Loaded at construction so contexts materialize warm;
   /// PersistCache() writes the merged warmth back.
@@ -71,15 +69,17 @@ struct DispatcherStats {
 };
 
 /// Executes analysis requests against lazily materialized, shared
-/// per-(query, policy) optimizer contexts.
+/// per-(query, policy) exp::QueryContexts over the SF-100 TPC-H catalog
+/// (the paper's database).
 ///
 /// Each context owns the optimizer for one TPC-H query under one storage
 /// layout plus the *shared, long-lived* memoizing CachingOracle that every
 /// request against that pair probes through — the server's warm cache.
-/// Per-request state (Rng, fault injector, ResilientOracle carrying the
-/// request deadline) is stacked above the shared cache on each call, so
-/// deadlines and faults stay request-local while computed cost points are
-/// served from memory across requests and sessions.
+/// Per-request state (Rng and the runtime::ProbeTier: ResilientOracle
+/// carrying the request deadline over an optional fault injector) is
+/// stacked above the shared cache on each call, so deadlines and faults
+/// stay request-local while computed cost points are served from memory
+/// across requests and sessions.
 ///
 /// Determinism: a response body is a pure function of the request and the
 /// server options. Probe points are generated from a fixed seed, the cache
@@ -89,7 +89,6 @@ struct DispatcherStats {
 class Dispatcher {
  public:
   explicit Dispatcher(DispatcherOptions options);
-  ~Dispatcher();  // out of line: QueryContext is incomplete here
 
   /// Executes one request. Never fails at the C++ level: every outcome is
   /// an AnalysisResponse whose code is kOk, kDeadlineExceeded (budget
@@ -117,25 +116,24 @@ class Dispatcher {
   const DispatcherOptions& options() const { return options_; }
 
  private:
-  struct QueryContext;
-
   /// Returns the shared context for (query_number, policy), materializing
   /// it on first use.
-  QueryContext& GetContext(uint16_t query_number,
-                           storage::LayoutPolicy policy);
+  [[nodiscard]] Result<exp::QueryContext*> GetContext(
+      uint16_t query_number, storage::LayoutPolicy policy);
 
   [[nodiscard]] Status Render(const AnalysisRequest& request,
-                              QueryContext& ctx, runtime::sink::Sink& out);
+                              exp::QueryContext& ctx,
+                              runtime::sink::Sink& out);
 
   DispatcherOptions options_;
   catalog::Catalog catalog_;
   /// Snapshot store behind every context's stack (null without
-  /// cache_path). Declared before builder_ so the builder can point at it.
+  /// cache_path).
   std::unique_ptr<runtime::CacheStore> store_;
-  runtime::OracleStackBuilder builder_;
 
   mutable std::mutex mu_;
-  std::map<std::pair<uint16_t, int>, std::unique_ptr<QueryContext>> contexts_;
+  std::map<std::pair<uint16_t, int>, std::unique_ptr<exp::QueryContext>>
+      contexts_;
   uint64_t requests_ = 0;
   uint64_t failed_requests_ = 0;
 };

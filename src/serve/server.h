@@ -26,7 +26,7 @@ struct ServerOptions {
   /// Requests allowed to wait for a slot; beyond this, kUnavailable.
   size_t max_queued = 16;
   /// Bound on Shutdown()/ServeBlocking waiting for live sessions before
-  /// force-closing their transports (the --drain-timeout). 0 = wait
+  /// force-closing their transports (serve_drain_timeout_ms). 0 = wait
   /// forever — one wedged session then wedges shutdown, which is exactly
   /// what this knob exists to prevent. Measured on the dispatcher clock.
   uint64_t drain_timeout_ns = 0;

@@ -22,9 +22,6 @@ enum class DeviceRole {
   kTemp,
 };
 
-/// Returns a short name for the role ("shared", "data", ...).
-const char* DeviceRoleName(DeviceRole role);
-
 /// One storage device, modeled as the paper models a disk (Section 3.1):
 /// two resources, d_s for queueing/rotational/seek time per random access
 /// and d_t for sequentially transferring one page. The defaults are DB2's

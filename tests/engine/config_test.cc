@@ -42,7 +42,6 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
       {"COSTSENSE_BENCH_JSON", "/tmp/bench.jsonl"},
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
       {"COSTSENSE_CACHE_ENTRIES", "1024"},
-      {"COSTSENSE_CACHE_SHARDS", "4"},
   };
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -51,15 +50,14 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   EXPECT_EQ(config->bench_json_path, "/tmp/bench.jsonl");
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
   EXPECT_EQ(config->cache.max_entries, 1024u);
-  EXPECT_EQ(config->cache.shards, 4u);
 }
 
 TEST(EngineConfigTest, FromEnvReadsOnlyTheKnobVariables) {
   // FromEnv asks for exactly one variable per KnobTable row, spelled
   // COSTSENSE_<KEY>, in table order. Any other variable — including the
-  // retired sweep-kernel, sidecar-chain, fault-rate and retry-budget
-  // ones — is never read, so setting it changes nothing and refuses
-  // nothing.
+  // retired sweep-kernel, sidecar-chain, fault-rate, retry-budget and
+  // cache-shard ones — is never read, so setting it changes nothing and
+  // refuses nothing.
   std::vector<std::string> read;
   const Result<EngineConfig> config =
       EngineConfig::FromEnv([&read](const char* name) -> const char* {
@@ -96,7 +94,6 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
   const std::map<std::string, std::string> bad = {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
-      {"COSTSENSE_CACHE_SHARDS", "-2"},
   };
   for (const auto& [name, value] : bad) {
     const std::map<std::string, std::string> env = {{name, value}};
@@ -125,16 +122,17 @@ TEST(EngineConfigTest, OverridesWinOverEnvironment) {
 
 TEST(EngineConfigTest, OverrideErrorsAreTyped) {
   EngineConfig config;
-  // "kernel", "artifact_chain", "fault_rate" and "max_retries" are no
-  // longer knobs: a stale override of any of them is an unknown key like
-  // any other.
+  // "kernel", "artifact_chain", "fault_rate", "max_retries" and
+  // "cache_shards" are no longer knobs: a stale override of any of them
+  // is an unknown key like any other.
   for (const auto& [assignment, key] :
        std::map<std::string, std::string>{
            {"bogus=1", "bogus"},
            {"kernel=scalar", "kernel"},
            {"artifact_chain=compressed", "artifact_chain"},
            {"fault_rate=0.25", "fault_rate"},
-           {"max_retries=3", "max_retries"}}) {
+           {"max_retries=3", "max_retries"},
+           {"cache_shards=4", "cache_shards"}}) {
     const Status unknown = config.ApplyOverride(assignment);
     EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument) << assignment;
     EXPECT_NE(unknown.message().find(key), std::string::npos)
@@ -167,7 +165,6 @@ void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.bench_json_path, b.bench_json_path);
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
   EXPECT_EQ(a.cache.max_entries, b.cache.max_entries);
-  EXPECT_EQ(a.cache.shards, b.cache.shards);
 }
 
 TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
@@ -180,7 +177,6 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   original.bench_json_path = "/tmp/b.jsonl";
   original.artifact_json_path = "/tmp/a.jsonl";
   original.cache.max_entries = 512;
-  original.cache.shards = 2;
 
   for (const EngineConfig& seed : {original, EngineConfig()}) {
     EngineConfig rebuilt;

@@ -73,7 +73,6 @@ TEST(EngineCreateTest, MalformedEnvironmentIsInvalidArgument) {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_THREADS", "-2"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
-      {"COSTSENSE_CACHE_SHARDS", "zero"},
       {"COSTSENSE_SERVE_INFLIGHT", "0"},
       {"COSTSENSE_SERVE_QUEUE", "-1"},
       {"COSTSENSE_SERVE_DEADLINE_MS", "soon"},

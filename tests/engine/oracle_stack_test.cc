@@ -1,8 +1,10 @@
-// Tests of the oracle-stack builder: which tiers get built, that oracle()
-// is always the top of the chain, and the one ordering property the stack
-// exists to encode — faults are injected *above* the cache, so retries
-// re-enter the injector but never cost an extra base-optimizer call, and
-// the cache only ever holds clean replies.
+// Tests of the oracle stack and the per-run probe tier: the cache-only
+// stack the builder stamps out, which decorators BuildProbeTier stacks
+// above it, that the tier's oracle() is always the top of the chain, and
+// the one ordering property the tier exists to encode — faults are
+// injected *above* the cache, so retries re-enter the injector but never
+// cost an extra base-optimizer call, and the cache only ever holds clean
+// replies.
 #include "runtime/oracle_stack.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +24,6 @@ std::vector<core::PlanUsage> TwoPlans() {
 TEST(OracleStackTest, DefaultBuildIsCacheOnly) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
   OracleStack stack = OracleStackBuilder().Build(base);
-  EXPECT_EQ(stack.injector(), nullptr);
 
   const core::CostVector probe{1.0, 2.0};
   const core::OracleResult first = stack.cache().Optimize(probe);
@@ -30,11 +31,9 @@ TEST(OracleStackTest, DefaultBuildIsCacheOnly) {
   EXPECT_EQ(first.plan_id, second.plan_id);
   EXPECT_EQ(base.calls(), 1u);  // second probe served from the cache
 
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.cache.misses, 1u);
-  EXPECT_EQ(telemetry.cache.hits, 1u);
-  EXPECT_EQ(telemetry.resilience.calls, 0u);
-  EXPECT_EQ(telemetry.faults.faults, 0u);
+  const OracleCacheStats stats = stack.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(OracleStackTest, WithCacheSizingIsApplied) {
@@ -47,13 +46,14 @@ TEST(OracleStackTest, WithCacheSizingIsApplied) {
   for (double x : {1.0, 2.0, 3.0}) {
     (void)stack.cache().Optimize(core::CostVector{x, 1.0});
   }
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.cache.misses, 3u);
-  EXPECT_GE(telemetry.cache.evictions, 1u);
+  const OracleCacheStats stats = stack.cache().stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_GE(stats.evictions, 1u);
 }
 
-TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
+TEST(ProbeTierTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
+  OracleStack stack = OracleStackBuilder().Build(base);
 
   resilience::FaultInjectionOptions faults;
   faults.fault_rate = 1.0;  // every key starts a burst
@@ -62,15 +62,14 @@ TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
   resilience::ResilientOracleOptions retry;
   retry.max_retries = 5;  // budget > burst: recovery is guaranteed
 
-  OracleStack stack =
-      OracleStackBuilder().WithResilience(faults, retry).Build(base);
-  ASSERT_NE(stack.injector(), nullptr);
+  ProbeTier tier = BuildProbeTier(stack.cache(), retry, faults);
+  ASSERT_NE(tier.injector(), nullptr);
 
   const core::CostVector probe{1.0, 2.0};
-  const Result<core::OracleResult> reply = stack.oracle().TryOptimize(probe);
+  const Result<core::OracleResult> reply = tier.oracle().TryOptimize(probe);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
 
-  StackTelemetry telemetry = stack.telemetry();
+  ProbeTelemetry telemetry = tier.telemetry();
   // The burst consumed two faulting attempts, then the clean attempt fell
   // through the injector onto the (cold) cache exactly once.
   EXPECT_EQ(telemetry.faults.faults, 2u);
@@ -78,57 +77,81 @@ TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
   EXPECT_EQ(telemetry.resilience.attempts, 3u);
   EXPECT_EQ(telemetry.resilience.retries, 2u);
   EXPECT_EQ(telemetry.resilience.failures, 0u);
-  EXPECT_EQ(telemetry.cache.misses, 1u);
+  EXPECT_EQ(stack.cache().stats().misses, 1u);
   EXPECT_EQ(base.calls(), 1u);  // faults never reached the base optimizer
 
   // Same key again: the burst is spent, the cache is warm — no new fault,
   // no new base call.
-  const Result<core::OracleResult> again = stack.oracle().TryOptimize(probe);
+  const Result<core::OracleResult> again = tier.oracle().TryOptimize(probe);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->plan_id, reply->plan_id);
-  telemetry = stack.telemetry();
+  telemetry = tier.telemetry();
   EXPECT_EQ(telemetry.faults.faults, 2u);
-  EXPECT_EQ(telemetry.cache.hits, 1u);
+  EXPECT_EQ(stack.cache().stats().hits, 1u);
   EXPECT_EQ(base.calls(), 1u);
 }
 
-TEST(OracleStackTest, ExhaustedRetryBudgetSurfacesTypedFailure) {
+TEST(ProbeTierTest, ExhaustedRetryBudgetSurfacesTypedFailure) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
+  OracleStack stack = OracleStackBuilder().Build(base);
   resilience::FaultInjectionOptions faults;
   faults.fault_rate = 1.0;
   faults.max_burst = 3;
   resilience::ResilientOracleOptions retry;
   retry.max_retries = 1;  // 2 attempts < burst of 3: the call must fail
 
-  OracleStack stack =
-      OracleStackBuilder().WithResilience(faults, retry).Build(base);
+  ProbeTier tier = BuildProbeTier(stack.cache(), retry, faults);
   const Result<core::OracleResult> reply =
-      stack.oracle().TryOptimize(core::CostVector{1.0, 2.0});
+      tier.oracle().TryOptimize(core::CostVector{1.0, 2.0});
   EXPECT_FALSE(reply.ok());
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.resilience.failures, 1u);
+  EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(tier.telemetry().resilience.failures, 1u);
   EXPECT_EQ(base.calls(), 0u);  // the fault tier absorbed every attempt
 }
 
-TEST(OracleStackTest, DefaultOracleAnswersThroughTheCache) {
+TEST(ProbeTierTest, DefaultTopAnswersThroughTheCache) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
   OracleStack stack = OracleStackBuilder().Build(base);
-  EXPECT_EQ(stack.injector(), nullptr);
+  ProbeTier tier = BuildProbeTier(stack.cache(), std::nullopt);
+  EXPECT_EQ(tier.injector(), nullptr);
 
   const Result<core::OracleResult> reply =
-      stack.oracle().TryOptimize(core::CostVector{1.0, 2.0});
+      tier.oracle().TryOptimize(core::CostVector{1.0, 2.0});
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_FALSE(reply->plan_id.empty());
 
   // One probe through the top is one cache miss and one base call; no
   // resilience tier saw it.
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.cache.misses, 1u);
-  EXPECT_EQ(telemetry.cache.hits, 0u);
+  const ProbeTelemetry telemetry = tier.telemetry();
+  EXPECT_EQ(stack.cache().stats().misses, 1u);
+  EXPECT_EQ(stack.cache().stats().hits, 0u);
   EXPECT_EQ(base.calls(), 1u);
   EXPECT_EQ(telemetry.resilience.calls, 0u);
   EXPECT_EQ(telemetry.resilience.attempts, 0u);
   EXPECT_EQ(telemetry.faults.calls, 0u);
+}
+
+TEST(ProbeTierTest, InjectorExistsExactlyWhenTheFaultOptionsInject) {
+  core::FakeOracle base(TwoPlans(), /*white_box=*/true);
+  OracleStack stack = OracleStackBuilder().Build(base);
+  const resilience::ResilientOracleOptions retry;
+
+  // A retry tier over nothing to inject: the top retries, nothing faults.
+  ProbeTier clean = BuildProbeTier(stack.cache(), retry);
+  EXPECT_EQ(clean.injector(), nullptr);
+  ASSERT_TRUE(clean.oracle().TryOptimize(core::CostVector{1.0, 2.0}).ok());
+  EXPECT_EQ(clean.telemetry().resilience.calls, 1u);
+
+  resilience::FaultInjectionOptions perturb;
+  perturb.perturb_rate = 0.5;
+  EXPECT_NE(BuildProbeTier(stack.cache(), retry, perturb).injector(),
+            nullptr);
+  resilience::FaultInjectionOptions bursts;
+  bursts.fault_rate = 0.5;
+  EXPECT_NE(BuildProbeTier(stack.cache(), retry, bursts).injector(), nullptr);
+  // Without a retry tier the fault options are ignored.
+  EXPECT_EQ(BuildProbeTier(stack.cache(), std::nullopt, bursts).injector(),
+            nullptr);
 }
 
 TEST(OracleStackTest, OneBuilderStampsOutIndependentStacks) {
@@ -140,8 +163,8 @@ TEST(OracleStackTest, OneBuilderStampsOutIndependentStacks) {
   (void)a.cache().Optimize(probe);
   (void)b.cache().Optimize(probe);
   // Separate per-query stacks do not share cache state.
-  EXPECT_EQ(a.telemetry().cache.misses, 1u);
-  EXPECT_EQ(b.telemetry().cache.misses, 1u);
+  EXPECT_EQ(a.cache().stats().misses, 1u);
+  EXPECT_EQ(b.cache().stats().misses, 1u);
   EXPECT_EQ(base.calls(), 2u);
 }
 

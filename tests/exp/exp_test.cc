@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/strings.h"
 #include "exp/figure_runner.h"
 #include "exp/report.h"
+#include "runtime/thread_pool.h"
+#include "serve/dispatcher.h"
+#include "serve/protocol.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
 
@@ -138,6 +144,76 @@ TEST(FigureRunnerTest, ColdWhiteBoxRunReportsCacheEntries) {
   EXPECT_EQ(analysis->cache_imported, 0u);
   EXPECT_GT(analysis->cache_entries, 0u);
   EXPECT_LE(analysis->cache_entries, analysis->cache_misses);
+}
+
+TEST(FigureServeAgreementTest, GtcSeriesRequestMatchesFigureRunner) {
+  // The figure drivers and the serve gtcseries request compute the same
+  // worst-case curve through one QueryContext and one curve loop: on every
+  // quick (query, layout) pair the server's body must carry the figure's
+  // plan count, initial plan and every delta/gtc/rival value, byte for
+  // byte as the server formats them.
+  runtime::ThreadPool pool(3);
+  FigureRunner::Options options;
+  options.deltas = {2, 10, 100, 1000};
+  options.discovery = QuickDiscoveryOptions();
+  options.pool = &pool;
+  const FigureRunner runner(Cat(), options);
+
+  serve::DispatcherOptions serve_options;
+  serve_options.discovery = QuickDiscoveryOptions();
+  serve_options.pool = &pool;
+  serve::Dispatcher dispatcher(serve_options);
+
+  std::vector<query::Query> queries;
+  for (int qn : QuickQueryNumbers()) {
+    queries.push_back(tpch::MakeTpchQuery(Cat(), qn));
+  }
+  size_t pairs = 0;
+  for (const storage::LayoutPolicy policy :
+       {storage::LayoutPolicy::kSharedDevice,
+        storage::LayoutPolicy::kPerTableAndIndex,
+        storage::LayoutPolicy::kPerTableColocated}) {
+    const std::vector<Result<QueryAnalysis>> analyses =
+        runner.AnalyzeMany(queries, policy);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string what = queries[i].name + " under " +
+                               storage::LayoutPolicyName(policy);
+      ASSERT_TRUE(analyses[i].ok()) << what;
+      const Result<FigureSeries> series = runner.GtcSeries(*analyses[i]);
+      ASSERT_TRUE(series.ok()) << what;
+
+      serve::AnalysisRequest request;
+      request.kind = serve::AnalysisKind::kGtcSeries;
+      request.policy = policy;
+      request.query_number =
+          static_cast<uint16_t>(QuickQueryNumbers()[i]);
+      request.deltas = options.deltas;
+      const serve::AnalysisResponse response = dispatcher.Handle(request);
+      ASSERT_TRUE(response.ok()) << what << ": " << response.body;
+
+      // Every compared line sits between two newlines: the body opens
+      // with its "costsense-serve" stamp and ends each line with '\n'.
+      const auto has_line = [&response](const std::string& line) {
+        return response.body.find("\n" + line + "\n") != std::string::npos;
+      };
+      EXPECT_TRUE(has_line("initial_plan=" + analyses[i]->initial_plan_id))
+          << what;
+      EXPECT_TRUE(has_line(StrFormat(
+          "plans=%zu complete=%d", analyses[i]->candidate_plans.size(),
+          analyses[i]->discovery_complete ? 1 : 0)))
+          << what;
+      ASSERT_EQ(series->points.size(), options.deltas.size()) << what;
+      for (const GtcPoint& p : series->points) {
+        EXPECT_TRUE(has_line(StrFormat(
+            "delta=%s gtc=%s rival=%s", FormatDouble(p.delta).c_str(),
+            FormatDouble(p.gtc).c_str(), p.worst_rival.c_str())))
+            << what << " at delta " << p.delta << ":\n"
+            << response.body;
+      }
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 18u);
 }
 
 TEST(ReportTest, TablesRender) {

@@ -20,6 +20,7 @@
 #include <fstream>
 
 #include "engine/artifact.h"
+#include "exp/report.h"
 #include "runtime/resilience/clock.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
@@ -452,14 +453,11 @@ TEST(AdmissionTest, CloseRejectsWaitersAndFutureAdmits) {
 // Server fixtures
 // ---------------------------------------------------------------------------
 
-/// The quick-mode analysis budget (matches bench_util's quick preset) so
-/// a full request costs tens of milliseconds, not seconds.
+/// The quick-mode analysis budget, so a full request costs tens of
+/// milliseconds, not seconds.
 DispatcherOptions QuickDispatcherOptions(runtime::ThreadPool* pool) {
   DispatcherOptions options;
-  options.discovery.random_samples = 16;
-  options.discovery.sampled_vertices = 48;
-  options.discovery.bisection_depth = 3;
-  options.discovery.completeness_rounds = 1;
+  options.discovery = exp::QuickDiscoveryOptions();
   options.pool = pool;
   return options;
 }
@@ -639,7 +637,6 @@ TEST(ServerTest, RequestDeadlineSurfacesAsTypedDeadlineExceeded) {
   ServerOptions options;
   options.dispatcher = QuickDispatcherOptions(&pool);
   options.dispatcher.clock = &clock;
-  options.dispatcher.fault_injection = true;
   options.dispatcher.faults.fault_rate = 1.0;
   options.dispatcher.faults.max_burst = 1;
   options.dispatcher.faults.weight_transient = 0.0;
