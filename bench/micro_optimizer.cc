@@ -1,6 +1,7 @@
-// Micro-benchmarks of the optimizer itself: cost of one full
-// dynamic-programming optimization per TPC-H query class, with the DP's
-// join candidates priced, built and kept per call, plus the
+// Micro-benchmarks of the optimizer itself: the cost-independent
+// preparation of one TPC-H query's plan space, then one dynamic-programming
+// optimization per call over it (prepared once, as NarrowOptimizer does),
+// with the DP's join candidates priced, built and kept per call, plus the
 // ablation the paper's setup implies (bushy vs left-deep enumeration —
 // DB2's optimization level 7 considers bushy trees, Section 7.1).
 #include <benchmark/benchmark.h>
@@ -22,22 +23,39 @@ const catalog::Catalog& Cat() {
   return *cat;
 }
 
+void BM_PrepareTpch(benchmark::State& state) {
+  const query::Query q =
+      tpch::MakeTpchQuery(Cat(), static_cast<int>(state.range(0)));
+  const storage::StorageLayout layout(
+      storage::LayoutPolicy::kPerTableAndIndex, Cat(),
+      query::ReferencedTables(q));
+  const storage::ResourceSpace space = layout.BuildResourceSpace();
+  const opt::Optimizer optimizer(Cat(), layout, space);
+  for (auto _ : state) {
+    const auto prepared = optimizer.Prepare(q);
+    benchmark::DoNotOptimize((*prepared)->SubsetRows(1));
+  }
+  state.SetLabel("tables=" + std::to_string(q.num_tables()));
+}
+BENCHMARK(BM_PrepareTpch)->Arg(1)->Arg(3)->Arg(5)->Arg(9)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_OptimizeTpch(benchmark::State& state) {
   const query::Query q = tpch::MakeTpchQuery(Cat(), static_cast<int>(state.range(0)));
   const storage::StorageLayout layout(
       storage::LayoutPolicy::kPerTableAndIndex, Cat(),
       query::ReferencedTables(q));
   const storage::ResourceSpace space = layout.BuildResourceSpace();
-  const opt::CostModel model(Cat(), layout, space, q);
-  const opt::OptimizerOptions options;
+  const opt::Optimizer optimizer(Cat(), layout, space);
+  const auto prepared = optimizer.Prepare(q);
   const core::Box box =
       core::Box::MultiplicativeBand(space.BaselineCosts(), 100.0);
   Rng rng(1);
-  // One enumerator per call, as Optimizer::Optimize does; its DP
-  // counters are reported per call.
+  // One enumerator per call over the shared prepared space, as
+  // Optimizer::Optimize does; its DP counters are reported per call.
   opt::JoinEnumerator::Counters dp;
   for (auto _ : state) {
-    opt::JoinEnumerator enumerator(model, Cat(), options);
+    opt::JoinEnumerator enumerator(**prepared);
     const auto r = enumerator.BestPlan(box.SampleLogUniform(rng));
     benchmark::DoNotOptimize((*r)->usage);
     dp.priced += enumerator.counters().priced;
@@ -65,8 +83,10 @@ void BM_OptimizeBushyVsLeftDeep(benchmark::State& state) {
   opt::OptimizerOptions options;
   options.bushy_joins = state.range(0) != 0;
   const opt::Optimizer optimizer(Cat(), layout, space, options);
+  const auto prepared = optimizer.Prepare(q);
+  const core::CostVector baseline = space.BaselineCosts();
   for (auto _ : state) {
-    const auto r = optimizer.OptimizeAtBaseline(q);
+    const auto r = optimizer.Optimize(**prepared, baseline);
     benchmark::DoNotOptimize(r->total_cost);
   }
   state.SetLabel(options.bushy_joins ? "bushy" : "left-deep");

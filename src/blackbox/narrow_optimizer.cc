@@ -6,11 +6,14 @@ namespace costsense::blackbox {
 
 NarrowOptimizer::NarrowOptimizer(const opt::Optimizer& optimizer,
                                  const query::Query& query, bool white_box)
-    : optimizer_(optimizer), query_(query), white_box_(white_box) {}
+    : optimizer_(optimizer),
+      prepared_(optimizer.Prepare(query)),
+      white_box_(white_box) {}
 
 core::OracleResult NarrowOptimizer::Optimize(const core::CostVector& c) {
   calls_.fetch_add(1, std::memory_order_relaxed);
-  const Result<opt::Optimized> r = optimizer_.Optimize(query_, c);
+  COSTSENSE_CHECK_MSG(prepared_.ok(), prepared_.status().ToString().c_str());
+  const Result<opt::Optimized> r = optimizer_.Optimize(**prepared_, c);
   COSTSENSE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
   core::OracleResult out;
   out.plan_id = r->plan->id;

@@ -2,7 +2,9 @@
 #define COSTSENSE_BLACKBOX_NARROW_OPTIMIZER_H_
 
 #include <atomic>
+#include <memory>
 
+#include "common/status.h"
 #include "core/oracle.h"
 #include "opt/optimizer.h"
 #include "query/query.h"
@@ -19,6 +21,7 @@ namespace costsense::blackbox {
 class NarrowOptimizer : public core::PlanOracle {
  public:
   /// Neither the optimizer nor the query is owned; both must outlive this.
+  /// Prepares the query's plan space once, for every later call.
   NarrowOptimizer(const opt::Optimizer& optimizer, const query::Query& query,
                   bool white_box = false);
 
@@ -27,13 +30,14 @@ class NarrowOptimizer : public core::PlanOracle {
 
   /// Number of optimization calls made so far (the paper's experiments are
   /// budgeted in optimizer invocations). The counter is atomic, and
-  /// Optimize() touches no other mutable state, so one NarrowOptimizer may
-  /// be shared by concurrent probes (e.g. behind runtime::CachingOracle).
+  /// Optimize() touches no other mutable state (the prepared plan space is
+  /// read-only), so one NarrowOptimizer may be shared by concurrent probes
+  /// (e.g. behind runtime::CachingOracle).
   size_t calls() const { return calls_.load(std::memory_order_relaxed); }
 
  private:
   const opt::Optimizer& optimizer_;
-  const query::Query& query_;
+  const Result<std::unique_ptr<const opt::PreparedSpace>> prepared_;
   bool white_box_;
   std::atomic<size_t> calls_{0};
 };

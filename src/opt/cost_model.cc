@@ -30,7 +30,20 @@ CostModel::CostModel(const catalog::Catalog& catalog,
       layout_(layout),
       space_(space),
       query_(query),
-      config_(catalog.config()) {}
+      config_(catalog.config()) {
+  edge_selectivity_.reserve(query_.joins.size());
+  for (const query::JoinEdge& e : query_.joins) {
+    if (e.selectivity_override >= 0.0) {
+      edge_selectivity_.push_back(e.selectivity_override);
+      continue;
+    }
+    const catalog::Table& lt = catalog_.table(query_.refs[e.left_ref].table_id);
+    const catalog::Table& rt =
+        catalog_.table(query_.refs[e.right_ref].table_id);
+    edge_selectivity_.push_back(catalog::JoinSelectivity(
+        lt.column(e.left_column).stats, rt.column(e.right_column).stats));
+  }
+}
 
 double CostModel::PagesFor(double rows, double width_bytes) const {
   if (rows <= 0.0) return 0.0;
@@ -303,27 +316,16 @@ void CostModel::ChargeIndexNLJoin(const Input& left, size_t right_ref,
 
   // The edge may be written in either orientation; the probed (inner)
   // side is right_ref.
-  const bool inner_is_edge_right = edge.right_ref == right_ref;
   const size_t inner_col =
-      inner_is_edge_right ? edge.right_column : edge.left_column;
-  const size_t outer_ref =
-      inner_is_edge_right ? edge.left_ref : edge.right_ref;
-  const size_t outer_col =
-      inner_is_edge_right ? edge.left_column : edge.right_column;
+      edge.right_ref == right_ref ? edge.right_column : edge.left_column;
   COSTSENSE_CHECK(inner_col == idx.key_columns.front());
 
-  // Join selectivity for matches fetched per probe (before the inner's
-  // residual local predicates).
-  double join_sel = edge.selectivity_override;
-  if (join_sel < 0.0) {
-    const catalog::Table& outer_table =
-        catalog_.table(query_.refs[outer_ref].table_id);
-    join_sel =
-        catalog::JoinSelectivity(outer_table.column(outer_col).stats,
-                                 table.column(inner_col).stats);
-  }
+  // Matches fetched per probe follow the edge's join selectivity (before
+  // the inner's residual local predicates); it is symmetric in the two
+  // columns, so the orientation does not matter.
   const double probes = left.rows;
-  const double fetched_rows = probes * table.row_count() * join_sel;
+  const double fetched_rows =
+      probes * table.row_count() * EdgeSelectivity(props.edge);
 
   usage = left.usage;
   const int index_device = layout_.IndexDevice(tref.table_id);
@@ -347,32 +349,35 @@ void CostModel::ChargeIndexNLJoin(const Input& left, size_t right_ref,
                                           config_.cpu_predicate_instructions));
 }
 
-PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
-                                   int index_id, bool index_only,
-                                   const JoinProps& props) const {
-  const query::TableRef& tref = query_.refs[right_ref];
+PlanNodePtr CostModel::ProbeLeaf(size_t ref, int index_id,
+                                 bool index_only) const {
+  const query::TableRef& tref = query_.refs[ref];
   const catalog::Table& table = catalog_.table(tref.table_id);
   const catalog::Index& idx = catalog_.index(index_id);
-
-  // The inner is a probe leaf: its usage is charged to the join.
-  auto inner = std::make_shared<PlanNode>();
-  inner->op = OpType::kIndexScan;
-  inner->ref = static_cast<int>(right_ref);
-  inner->index_id = index_id;
-  inner->index_only = index_only;
-  inner->tables = uint32_t{1} << right_ref;
-  inner->output_rows = table.row_count() * tref.local_selectivity;
-  inner->output_width_bytes =
+  auto leaf = std::make_shared<PlanNode>();
+  leaf->op = OpType::kIndexScan;
+  leaf->ref = static_cast<int>(ref);
+  leaf->index_id = index_id;
+  leaf->index_only = index_only;
+  leaf->tables = uint32_t{1} << ref;
+  leaf->output_rows = table.row_count() * tref.local_selectivity;
+  leaf->output_width_bytes =
       index_only ? idx.key_width_bytes
                  : table.row_width_bytes() * tref.projected_width_fraction;
-  inner->output_pages =
-      PagesFor(inner->output_rows, inner->output_width_bytes);
-  inner->usage = space_.ZeroUsage();
-  inner->id = StrFormat("PROBE(%s.%s%s)", tref.alias.c_str(),
-                        idx.name.c_str(), index_only ? ":io" : "");
+  leaf->output_pages = PagesFor(leaf->output_rows, leaf->output_width_bytes);
+  leaf->usage = space_.ZeroUsage();
+  leaf->id = StrFormat("PROBE(%s.%s%s)", tref.alias.c_str(), idx.name.c_str(),
+                       index_only ? ":io" : "");
+  return leaf;
+}
 
+PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, PlanNodePtr probe,
+                                   const JoinProps& props) const {
+  const size_t right_ref = static_cast<size_t>(probe->ref);
+  const int index_id = probe->index_id;
+  const bool index_only = probe->index_only;
   auto node =
-      NewJoin(OpType::kIndexNLJoin, std::move(left), std::move(inner), props);
+      NewJoin(OpType::kIndexNLJoin, std::move(left), std::move(probe), props);
   ChargeIndexNLJoin(*node->left, right_ref, index_id, index_only, props,
                     node->usage);
   // Nested loops preserves the outer order.

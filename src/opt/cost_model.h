@@ -126,10 +126,14 @@ class CostModel {
   PlanNodePtr SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
                             const JoinProps& props) const;
 
-  /// Index nested-loops join node with a PROBE leaf as its inner.
+  /// The PROBE leaf an index nested-loops join probes `index_id` on base
+  /// reference `ref` through. It carries no usage: the join is charged.
+  PlanNodePtr ProbeLeaf(size_t ref, int index_id, bool index_only) const;
+
+  /// Index nested-loops join node with `probe` (a ProbeLeaf) as its inner.
   /// Preserves the outer order.
-  PlanNodePtr IndexNLJoin(PlanNodePtr left, size_t right_ref, int index_id,
-                          bool index_only, const JoinProps& props) const;
+  PlanNodePtr IndexNLJoin(PlanNodePtr left, PlanNodePtr probe,
+                          const JoinProps& props) const;
 
   /// Block nested-loops join node; unordered output.
   PlanNodePtr BlockNLJoin(PlanNodePtr left, PlanNodePtr right,
@@ -154,6 +158,10 @@ class CostModel {
   /// Output pages for a (rows, width) pair under the configured page size.
   double PagesFor(double rows, double width_bytes) const;
 
+  /// Selectivity of join edge `edge`: its override, else from the two
+  /// columns' statistics. Computed once, at construction.
+  double EdgeSelectivity(int edge) const { return edge_selectivity_[edge]; }
+
   const query::Query& query() const { return query_; }
 
  private:
@@ -162,6 +170,7 @@ class CostModel {
   const storage::ResourceSpace& space_;
   const query::Query& query_;
   const catalog::SystemConfig& config_;
+  std::vector<double> edge_selectivity_;
 
   /// A join node's shared fields; the caller charges its usage and sets
   /// its order.

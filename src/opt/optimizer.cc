@@ -1,6 +1,5 @@
 #include "opt/optimizer.h"
 
-#include "opt/cost_model.h"
 #include "opt/join_enum.h"
 
 namespace costsense::opt {
@@ -17,20 +16,31 @@ Optimizer::Optimizer(const catalog::Catalog& catalog,
   }
 }
 
-Result<Optimized> Optimizer::Optimize(const query::Query& query,
+Result<std::unique_ptr<const PreparedSpace>> Optimizer::Prepare(
+    const query::Query& query) const {
+  return PreparedSpace::Prepare(catalog_, layout_, space_, query, options_);
+}
+
+Result<Optimized> Optimizer::Optimize(const PreparedSpace& prepared,
                                       const core::CostVector& costs) const {
   if (costs.size() != space_.dims()) {
     return Status::InvalidArgument(
         "cost vector dimension does not match the resource space");
   }
-  const CostModel model(catalog_, layout_, space_, query);
-  JoinEnumerator enumerator(model, catalog_, options_);
+  JoinEnumerator enumerator(prepared);
   Result<PlanNodePtr> best = enumerator.BestPlan(costs);
   if (!best.ok()) return best.status();
   Optimized out;
   out.plan = std::move(best).value();
   out.total_cost = core::TotalCost(out.plan->usage, costs);
   return out;
+}
+
+Result<Optimized> Optimizer::Optimize(const query::Query& query,
+                                      const core::CostVector& costs) const {
+  Result<std::unique_ptr<const PreparedSpace>> prepared = Prepare(query);
+  if (!prepared.ok()) return prepared.status();
+  return Optimize(**prepared, costs);
 }
 
 Result<Optimized> Optimizer::OptimizeAtBaseline(

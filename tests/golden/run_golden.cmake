@@ -2,10 +2,12 @@
 #
 #   cmake -DBINARY=<figure, table or example binary> \
 #         -DEXPECTED=<committed .stdout>
-#         [-DTHREADS=N] [-DACTUAL_OUT=<dump path>] -P run_golden.cmake
+#         [-DTHREADS=N] [-DQUICK=0] [-DACTUAL_OUT=<dump path>] \
+#         -P run_golden.cmake
 #
-# Runs the binary in quick mode at the requested thread count and
-# byte-compares its stdout against the committed expectation. This is the
+# Runs the binary in quick mode (full size with -DQUICK=0) at the
+# requested thread count and byte-compares its stdout against the
+# committed expectation. This is the
 # executable form of the engine's central contract: figure/table stdout is
 # a pure function of the experiment, identical across thread counts,
 # sidecar output, cache warmth and (absorbed) faults — stderr carries
@@ -15,7 +17,11 @@ if(NOT DEFINED BINARY OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "usage: cmake -DBINARY=... -DEXPECTED=... -P run_golden.cmake")
 endif()
 
-set(ENV{COSTSENSE_QUICK} "1")
+if(DEFINED QUICK AND NOT QUICK)
+  set(ENV{COSTSENSE_QUICK} "0")
+else()
+  set(ENV{COSTSENSE_QUICK} "1")
+endif()
 if(DEFINED THREADS)
   set(ENV{COSTSENSE_THREADS} "${THREADS}")
 endif()

@@ -245,7 +245,8 @@ TEST(CostModelTest, IndexNLJoinChargesIndexDevicePerProbe) {
   CostModel::JoinProps props{1000.0, 170.0, 0, 0};
   const PlanNodePtr outer = rig.model.SeqScan(0);
   const PlanNodePtr join =
-      rig.model.IndexNLJoin(outer, 1, id_index, false, props);
+      rig.model.IndexNLJoin(outer, rig.model.ProbeLeaf(1, id_index, false),
+                            props);
   // 1000 probes => at least 1000 extra seeks beyond the outer's.
   EXPECT_GE(join->usage[0], outer->usage[0] + 1000.0);
   // Nested loops preserves outer order (outer is unordered here).
@@ -254,7 +255,8 @@ TEST(CostModelTest, IndexNLJoinChargesIndexDevicePerProbe) {
   // The charge function prices plain and index-only probes exactly as
   // the nodes; index-only skips the data-page fetches.
   const PlanNodePtr index_only =
-      rig.model.IndexNLJoin(outer, 1, id_index, true, props);
+      rig.model.IndexNLJoin(outer, rig.model.ProbeLeaf(1, id_index, true),
+                            props);
   core::UsageVector usage;
   rig.model.ChargeIndexNLJoin(*outer, 1, id_index, false, props, usage);
   EXPECT_EQ(usage, join->usage);
@@ -418,9 +420,9 @@ TEST(CostModelTest, CanonicalIdsDistinguishVariants) {
   EXPECT_EQ(PlanId(*m.BlockNLJoin(b, sorted, props)),
             "BNL[e0](SCAN(b),SORT[r1.c0,r1.c1](SCAN(s)))");
   EXPECT_EQ(PlanId(*m.BlockNLJoin(b, s, cross)), "BNL[e-1](SCAN(b),SCAN(s))");
-  EXPECT_EQ(PlanId(*m.IndexNLJoin(b, 1, small_id, false, props)),
+  EXPECT_EQ(PlanId(*m.IndexNLJoin(b, m.ProbeLeaf(1, small_id, false), props)),
             "INL[e0](SCAN(b),PROBE(s.small_id))");
-  EXPECT_EQ(PlanId(*m.IndexNLJoin(b, 1, small_id, true, props)),
+  EXPECT_EQ(PlanId(*m.IndexNLJoin(b, m.ProbeLeaf(1, small_id, true), props)),
             "INL[e0](SCAN(b),PROBE(s.small_id:io))");
   EXPECT_EQ(PlanId(*m.Aggregate(hash, false)),
             "AGG[hash](HSJ[e0](SCAN(b),SCAN(s)))");

@@ -45,16 +45,14 @@ struct Rig {
   Query q;
   StorageLayout layout;
   storage::ResourceSpace space;
-  CostModel model;
-  OptimizerOptions options;
+  std::unique_ptr<const PreparedSpace> prepared;
 
   Rig(catalog::Catalog c, Query query, OptimizerOptions opts = {})
       : cat(std::move(c)),
         q(std::move(query)),
         layout(LayoutPolicy::kSharedDevice, cat, query::ReferencedTables(q)),
         space(layout.BuildResourceSpace()),
-        model(cat, layout, space, q),
-        options(opts) {}
+        prepared(PreparedSpace::Prepare(cat, layout, space, q, opts).value()) {}
 };
 
 TEST(JoinEnumTest, SubsetCardinalityChain) {
@@ -67,16 +65,16 @@ TEST(JoinEnumTest, SubsetCardinalityChain) {
                 .Join("b", "c_id", "c", "id")
                 .Build();
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
   // Singletons: filtered base cardinalities.
-  EXPECT_DOUBLE_EQ(e.SubsetRows(0b001), 1e6);
-  EXPECT_DOUBLE_EQ(e.SubsetRows(0b010), 1e4);
+  EXPECT_DOUBLE_EQ(rig.prepared->SubsetRows(0b001), 1e6);
+  EXPECT_DOUBLE_EQ(rig.prepared->SubsetRows(0b010), 1e4);
   // a join b on b_id (ndv 1e4 each side: sel 1e-4): 1e6*1e4*1e-4 = 1e6.
-  EXPECT_DOUBLE_EQ(e.SubsetRows(0b011), 1e6);
+  EXPECT_DOUBLE_EQ(rig.prepared->SubsetRows(0b011), 1e6);
   // plus b join c (sel 1e-2): 1e6 * 100 * 1e-2 = 1e6.
-  EXPECT_DOUBLE_EQ(e.SubsetRows(0b111), 1e6);
+  EXPECT_DOUBLE_EQ(rig.prepared->SubsetRows(0b111), 1e6);
   // Disconnected pair {a, c}: cross product.
-  EXPECT_DOUBLE_EQ(e.SubsetRows(0b101), 1e8);
+  EXPECT_DOUBLE_EQ(rig.prepared->SubsetRows(0b101), 1e8);
 }
 
 TEST(JoinEnumTest, PlanRowsMatchSubsetRows) {
@@ -90,10 +88,10 @@ TEST(JoinEnumTest, PlanRowsMatchSubsetRows) {
                 .Join("b", "c_id", "c", "id")
                 .Build();
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
   const auto best = e.BestPlan(rig.space.BaselineCosts());
   ASSERT_TRUE(best.ok());
-  EXPECT_DOUBLE_EQ((*best)->output_rows, e.SubsetRows(0b111));
+  EXPECT_DOUBLE_EQ((*best)->output_rows, rig.prepared->SubsetRows(0b111));
 }
 
 TEST(JoinEnumTest, SemiJoinCardinality) {
@@ -104,9 +102,9 @@ TEST(JoinEnumTest, SemiJoinCardinality) {
                 .Join("b", "id", "a", "b_id", JoinKind::kSemi)
                 .Build();
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
   // P(match) = min(1, sel * |a|) = min(1, 1e-4 * 1e6) = 1: all b survive.
-  EXPECT_DOUBLE_EQ(e.SubsetRows(0b11), 1e4);
+  EXPECT_DOUBLE_EQ(rig.prepared->SubsetRows(0b11), 1e4);
 }
 
 TEST(JoinEnumTest, AntiJoinWithOverride) {
@@ -118,9 +116,9 @@ TEST(JoinEnumTest, AntiJoinWithOverride) {
                       /*selectivity_override=*/0.5 / 1e6)
                 .Build();
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
   // P(match) = 0.5 -> half of b survives the anti join.
-  EXPECT_NEAR(e.SubsetRows(0b11), 5e3, 1.0);
+  EXPECT_NEAR(rig.prepared->SubsetRows(0b11), 5e3, 1.0);
 }
 
 TEST(JoinEnumTest, DisconnectedGraphStillPlans) {
@@ -130,7 +128,7 @@ TEST(JoinEnumTest, DisconnectedGraphStillPlans) {
                 .Table("c", "c")
                 .Build();  // no join edge
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
   const auto best = e.BestPlan(rig.space.BaselineCosts());
   ASSERT_TRUE(best.ok());
   EXPECT_EQ((*best)->tables, 0b11u);
@@ -144,10 +142,7 @@ TEST(JoinEnumTest, EmptyQueryRejected) {
   // Bypass the rig (no refs to build a layout from).
   const StorageLayout layout(LayoutPolicy::kSharedDevice, cat, {0});
   const storage::ResourceSpace space = layout.BuildResourceSpace();
-  const CostModel model(cat, layout, space, q);
-  OptimizerOptions options;
-  JoinEnumerator e(model, cat, options);
-  EXPECT_EQ(e.BestPlan(space.BaselineCosts()).status().code(),
+  EXPECT_EQ(PreparedSpace::Prepare(cat, layout, space, q, {}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -165,7 +160,7 @@ TEST(JoinEnumTest, DisablingJoinMethodsStillFindsPlans) {
     opts.enable_index_nl_join = disable != 2;
     opts.enable_block_nl_join = disable != 3;
     Rig rig(std::move(cat), std::move(q), opts);
-    JoinEnumerator e(rig.model, rig.cat, rig.options);
+    JoinEnumerator e(*rig.prepared);
     const auto best = e.BestPlan(rig.space.BaselineCosts());
     ASSERT_TRUE(best.ok()) << "disable=" << disable;
   }
@@ -190,8 +185,8 @@ TEST(JoinEnumTest, RicherPlanSpaceNeverCostsMore) {
 
   Rig rig_rich(MakeCatalog(), q, rich);
   Rig rig_poor(MakeCatalog(), q, poor);
-  JoinEnumerator e_rich(rig_rich.model, rig_rich.cat, rig_rich.options);
-  JoinEnumerator e_poor(rig_poor.model, rig_poor.cat, rig_poor.options);
+  JoinEnumerator e_rich(*rig_rich.prepared);
+  JoinEnumerator e_poor(*rig_poor.prepared);
   const auto c = rig_rich.space.BaselineCosts();
   const auto best_rich = e_rich.BestPlan(c);
   const auto best_poor = e_poor.BestPlan(c);
@@ -209,7 +204,7 @@ TEST(JoinEnumTest, SemiJoinRightSideStaysInner) {
                 .Join("b", "id", "a", "b_id", JoinKind::kSemi)
                 .Build();
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
   const auto best = e.BestPlan(rig.space.BaselineCosts());
   ASSERT_TRUE(best.ok());
   // Find the join node; its right subtree must be ref 1 ("a").
@@ -233,11 +228,11 @@ TEST(JoinEnumTest, NeverBeatenByHandEnumeratedMenu) {
                 .Join("a", "b_id", "b", "id")
                 .Build();
   Rig rig(std::move(cat), std::move(q));
-  JoinEnumerator e(rig.model, rig.cat, rig.options);
+  JoinEnumerator e(*rig.prepared);
 
-  const CostModel& m = rig.model;
+  const CostModel& m = rig.prepared->model();
   CostModel::JoinProps props;
-  props.output_rows = e.SubsetRows(0b11);
+  props.output_rows = rig.prepared->SubsetRows(0b11);
   props.output_width_bytes = 60.0;
   props.edge = 0;
 
@@ -258,7 +253,7 @@ TEST(JoinEnumTest, NeverBeatenByHandEnumeratedMenu) {
                                      m.Sort(b, {{1, 0}}), props));
     }
     if (b_ix >= 0) {
-      menu.push_back(m.IndexNLJoin(a, 1, b_ix, false, props));
+      menu.push_back(m.IndexNLJoin(a, m.ProbeLeaf(1, b_ix, false), props));
     }
   }
 
@@ -279,23 +274,25 @@ TEST(JoinEnumTest, NeverBeatenByHandEnumeratedMenu) {
 }
 
 TEST(JoinEnumTest, PricesCandidatesBeforeBuildingThem) {
-  // The DP prices every join candidate in scratch space and builds a plan
-  // node only for those that survive the dominance test. On the paper's
-  // 8-table Q8 most candidates are dominated, so far fewer are built than
-  // priced; building every priced candidate would fail this.
+  // The DP prices every join candidate in scratch space, offers it to the
+  // subset's frontier, and builds a plan node only for the frontier's
+  // survivors. On the paper's 8-table Q8 most candidates are dominated or
+  // evicted, so every node built is kept; building a candidate before a
+  // later one in the same subset evicts it would fail this. The priced
+  // count is pinned, so a change in which candidates are priced shows.
   const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
   const Query q = tpch::MakeTpchQuery(cat, 8);
   const StorageLayout layout(LayoutPolicy::kPerTableAndIndex, cat,
                              query::ReferencedTables(q));
   const storage::ResourceSpace space = layout.BuildResourceSpace();
-  const CostModel model(cat, layout, space, q);
-  const OptimizerOptions options;
-  JoinEnumerator e(model, cat, options);
+  const auto prepared = PreparedSpace::Prepare(cat, layout, space, q, {});
+  ASSERT_TRUE(prepared.ok());
+  JoinEnumerator e(**prepared);
   ASSERT_TRUE(e.BestPlan(space.BaselineCosts()).ok());
   const JoinEnumerator::Counters& c = e.counters();
   EXPECT_GT(c.priced, 1000u);
-  EXPECT_LT(c.built * 2, c.priced);
-  EXPECT_LE(c.kept, c.built);
+  EXPECT_EQ(c.priced, 15020u);
+  EXPECT_EQ(c.built, c.kept);
   EXPECT_GT(c.kept, 0u);
 }
 

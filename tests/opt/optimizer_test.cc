@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/feasible_region.h"
 #include "opt/explain.h"
+#include "opt/join_enum.h"
 #include "query/builder.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -332,6 +336,198 @@ TEST(OptimizerTest, ZeroCostTiesKeepTheirWinner) {
           << q.name << " under " << storage::LayoutPolicyName(policy);
     }
   }
+}
+
+
+TEST(OptimizerTest, WinnersCostsAndCandidateCountsArePinned) {
+  // Q3, Q5, Q8 and Q9 under every layout at the baseline, four vertices of
+  // the delta=100 band (all low, all high, and the two alternating masks)
+  // and two seeded log-uniform points: the winner's id, its total cost bit
+  // for bit, and the DP's priced and kept join candidates per call. Any
+  // change to the enumeration's candidates, pruning or ties shows here.
+  constexpr LayoutPolicy kShared = LayoutPolicy::kSharedDevice;
+  constexpr LayoutPolicy kPerTableAndIndex = LayoutPolicy::kPerTableAndIndex;
+  constexpr LayoutPolicy kColocated = LayoutPolicy::kPerTableColocated;
+  static const char* const kIds[] = {
+      "SORT[r1.c4](AGG[hash](HSJ[e1](SCAN(l),HSJ[e0](SCAN(o),SCAN(c"
+      ")))))",
+      "SORT[r1.c4](AGG[sort](SMJ[e1](IXS(l.l_ok),SORT[r1.c0](HSJ[e0"
+      "](SCAN(o),SCAN(c))))))",
+      "SORT[r1.c4](AGG[hash](HSJ[e1](SCAN(l),INL[e0](SCAN(c),PROBE("
+      "o.o_ck)))))",
+      "AGG[hash](HSJ[e0](HSJ[e2](HSJ[e1](SCAN(l),SCAN(o)),HSJ[e4](S"
+      "CAN(s),BNL[e5](SCAN(r),SCAN(n)))),SCAN(c)))",
+      "AGG[hash](HSJ[e0](HSJ[e2](HSJ[e1](SCAN(l),SCAN(o)),INL[e4](B"
+      "NL[e5](SCAN(r),SCAN(n)),PROBE(s.s_nk))),SCAN(c)))",
+      "AGG[hash](HSJ[e0](HSJ[e1](INL[e2](HSJ[e4](SCAN(s),INL[e5](SC"
+      "AN(r),PROBE(n.n_rk))),PROBE(l.l_sk)),SCAN(o)),SCAN(c)))",
+      "AGG[hash](HSJ[e6](HSJ[e1](SCAN(s),HSJ[e4](HSJ[e3](SCAN(c),HS"
+      "J[e2](SCAN(o),INL[e0](SCAN(p),PROBE(l.l_pk_sk)))),BNL[e5](SC"
+      "AN(r),SCAN(n1)))),SCAN(n2)))",
+      "AGG[hash](HSJ[e6](HSJ[e1](SCAN(s),HSJ[e4](HSJ[e3](SCAN(c),HS"
+      "J[e2](SCAN(o),HSJ[e0](SCAN(l),SCAN(p)))),BNL[e5](SCAN(r),SCA"
+      "N(n1)))),SCAN(n2)))",
+      "AGG[hash](HSJ[e6](HSJ[e1](SCAN(s),HSJ[e3](INL[e4](BNL[e5](SC"
+      "AN(r),SCAN(n1)),PROBE(c.c_nk)),HSJ[e2](SCAN(o),INL[e0](SCAN("
+      "p),PROBE(l.l_pk_sk))))),SCAN(n2)))",
+      "AGG[hash](HSJ[e6](HSJ[e1](SCAN(s),HSJ[e3](INL[e4](BNL[e5](SC"
+      "AN(r),SCAN(n1)),PROBE(c.c_nk)),HSJ[e2](SCAN(o),HSJ[e0](SCAN("
+      "l),SCAN(p))))),SCAN(n2)))",
+      "AGG[hash](HSJ[e6](HSJ[e1](SCAN(s),HSJ[e4](HSJ[e3](SCAN(c),IN"
+      "L[e2](INL[e0](SCAN(p),PROBE(l.l_pk_sk)),PROBE(o.o_pk))),INL["
+      "e5](SCAN(r),PROBE(n1.n_rk)))),SCAN(n2)))",
+      "SORT[r5.c1](AGG[hash](INL[e4](HSJ[e5](INL[e1](SMJ[e2](IXS(ps"
+      ".ps_pk),SORT[r1.c1](HSJ[e0](SCAN(l),SCAN(p)))),PROBE(s.s_pk)"
+      "),SCAN(n)),PROBE(o.o_pk:io))))",
+      "SORT[r5.c1](AGG[hash](INL[e4](HSJ[e5](INL[e1](SMJ[e3](IXS(ps"
+      ".ps_sk),SORT[r1.c2](INL[e0](SCAN(p),PROBE(l.l_pk_sk)))),PROB"
+      "E(s.s_pk)),SCAN(n)),PROBE(o.o_pk:io))))",
+      "SORT[r5.c1](AGG[hash](INL[e4](HSJ[e5](HSJ[e1](SCAN(s),HSJ[e2"
+      "](SCAN(ps),HSJ[e0](SCAN(l),SCAN(p)))),SCAN(n)),PROBE(o.o_pk:"
+      "io))))",
+      "SORT[r5.c1](AGG[hash](INL[e4](HSJ[e5](INL[e1](HSJ[e2](SCAN(p"
+      "s),HSJ[e0](SCAN(l),SCAN(p))),PROBE(s.s_pk)),SCAN(n)),PROBE(o"
+      ".o_pk:io))))",
+      "SORT[r5.c1](AGG[hash](INL[e4](HSJ[e5](INL[e1](HSJ[e2](SCAN(p"
+      "s),INL[e0](SCAN(p),PROBE(l.l_pk_sk))),PROBE(s.s_pk)),SCAN(n)"
+      "),PROBE(o.o_pk:io))))",
+      "SORT[r5.c1](AGG[hash](INL[e4](HSJ[e5](INL[e1](INL[e0](SMJ[e2"
+      "](IXS(ps.ps_pk),IXS(l.l_pk_sk)),PROBE(p.p_pk)),PROBE(s.s_pk)"
+      "),SCAN(n)),PROBE(o.o_pk:io))))"};
+  struct Pin {
+    int query;
+    LayoutPolicy policy;
+    size_t point;
+    size_t id;
+    double total_cost;
+    size_t priced;
+    size_t kept;
+  };
+  static const Pin kPins[] = {
+      {3, kShared, 0, 0, 0x1.11067988c4bdfp+28, 306, 17},
+      {3, kShared, 1, 0, 0x1.5d78ed7bdd1c1p+21, 306, 17},
+      {3, kShared, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 17},
+      {3, kShared, 3, 0, 0x1.0c72184f72508p+31, 306, 17},
+      {3, kShared, 4, 0, 0x1.8916c6a330fdap+34, 306, 17},
+      {3, kShared, 5, 0, 0x1.87dc2d4891ab4p+30, 306, 17},
+      {3, kShared, 6, 0, 0x1.576a6bb067216p+31, 306, 17},
+      {3, kPerTableAndIndex, 0, 0, 0x1.11067988c4bep+28, 306, 17},
+      {3, kPerTableAndIndex, 1, 0, 0x1.5d78ed7bdd1c2p+21, 306, 17},
+      {3, kPerTableAndIndex, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 17},
+      {3, kPerTableAndIndex, 3, 1, 0x1.9fcd747d32bd1p+34, 306, 17},
+      {3, kPerTableAndIndex, 4, 0, 0x1.54ac4b2b691d2p+25, 306, 17},
+      {3, kPerTableAndIndex, 5, 0, 0x1.ef3d8b2e07c13p+31, 306, 17},
+      {3, kPerTableAndIndex, 6, 0, 0x1.bbcd2bc045c3cp+26, 306, 17},
+      {3, kColocated, 0, 0, 0x1.11067988c4bep+28, 306, 17},
+      {3, kColocated, 1, 0, 0x1.5d78ed7bdd1c2p+21, 306, 17},
+      {3, kColocated, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 17},
+      {3, kColocated, 3, 2, 0x1.4d729fdec31bep+34, 274, 17},
+      {3, kColocated, 4, 1, 0x1.4bdbf1b9839c1p+32, 306, 17},
+      {3, kColocated, 5, 0, 0x1.9d8bff771e3f9p+33, 306, 17},
+      {3, kColocated, 6, 0, 0x1.1124d17aeef66p+33, 306, 17},
+      {5, kShared, 0, 3, 0x1.016eb5e69897dp+28, 9476, 139},
+      {5, kShared, 1, 3, 0x1.498378316728bp+21, 9476, 139},
+      {5, kShared, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 139},
+      {5, kShared, 3, 3, 0x1.faf5f108dc967p+30, 9476, 139},
+      {5, kShared, 4, 4, 0x1.7296c9b1f2329p+34, 9476, 139},
+      {5, kShared, 5, 3, 0x1.71e2f15879f73p+30, 9476, 139},
+      {5, kShared, 6, 3, 0x1.43fe90a092a32p+31, 9476, 139},
+      {5, kPerTableAndIndex, 0, 3, 0x1.016eb5e69897fp+28, 9476, 139},
+      {5, kPerTableAndIndex, 1, 3, 0x1.498378316728cp+21, 9476, 139},
+      {5, kPerTableAndIndex, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 139},
+      {5, kPerTableAndIndex, 3, 3, 0x1.919a006570991p+34, 9476, 139},
+      {5, kPerTableAndIndex, 4, 4, 0x1.5a672b8a7d49p+25, 9476, 139},
+      {5, kPerTableAndIndex, 5, 3, 0x1.b2af7377a2cd4p+31, 9476, 139},
+      {5, kPerTableAndIndex, 6, 3, 0x1.65f676ec19cb1p+33, 9476, 139},
+      {5, kColocated, 0, 3, 0x1.016eb5e69897fp+28, 9476, 139},
+      {5, kColocated, 1, 3, 0x1.498378316728cp+21, 9476, 139},
+      {5, kColocated, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 139},
+      {5, kColocated, 3, 3, 0x1.4ce0c765fe323p+34, 9476, 139},
+      {5, kColocated, 4, 5, 0x1.1444c32cf296fp+32, 9476, 139},
+      {5, kColocated, 5, 3, 0x1.79caaaadde31p+33, 9476, 139},
+      {5, kColocated, 6, 3, 0x1.cc1912e8f94a7p+27, 9476, 139},
+      {8, kShared, 0, 6, 0x1.633be8617354fp+27, 15020, 211},
+      {8, kShared, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 211},
+      {8, kShared, 2, 6, 0x1.1586cd8c221a6p+34, 15020, 211},
+      {8, kShared, 3, 7, 0x1.0487b117d8cf3p+31, 15020, 211},
+      {8, kShared, 4, 8, 0x1.0c29de9bfd68ep+33, 15020, 211},
+      {8, kShared, 5, 6, 0x1.bf00b61c234fap+29, 15020, 211},
+      {8, kShared, 6, 7, 0x1.4d34bde792a29p+31, 15020, 211},
+      {8, kPerTableAndIndex, 0, 6, 0x1.633be8617354ep+27, 15020, 211},
+      {8, kPerTableAndIndex, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 211},
+      {8, kPerTableAndIndex, 2, 6, 0x1.1586cd8c221a7p+34, 15020, 211},
+      {8, kPerTableAndIndex, 3, 6, 0x1.0ed235cec7855p+34, 15020, 211},
+      {8, kPerTableAndIndex, 4, 9, 0x1.4e536bfa0265bp+25, 15020, 211},
+      {8, kPerTableAndIndex, 5, 6, 0x1.01cc78f638e71p+33, 15020, 211},
+      {8, kPerTableAndIndex, 6, 6, 0x1.920a94272ebdfp+32, 15020, 211},
+      {8, kColocated, 0, 6, 0x1.633be8617354ep+27, 15020, 211},
+      {8, kColocated, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 211},
+      {8, kColocated, 2, 6, 0x1.1586cd8c221a7p+34, 15020, 211},
+      {8, kColocated, 3, 10, 0x1.63a338f7eb19ap+30, 14730, 211},
+      {8, kColocated, 4, 6, 0x1.fe83f8d6c8a2p+33, 15020, 211},
+      {8, kColocated, 5, 6, 0x1.f4db83e53d9dap+31, 15020, 211},
+      {8, kColocated, 6, 6, 0x1.41387aeee28e3p+26, 15020, 211},
+      {9, kShared, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 142},
+      {9, kShared, 1, 11, 0x1.529bc37047a3p+21, 5949, 142},
+      {9, kShared, 2, 11, 0x1.9d5724128f727p+34, 5949, 142},
+      {9, kShared, 3, 11, 0x1.04bb74da54ba7p+31, 5949, 142},
+      {9, kShared, 4, 12, 0x1.4e4704019f0a5p+34, 5949, 142},
+      {9, kShared, 5, 11, 0x1.7c413a5da45e1p+30, 5949, 142},
+      {9, kShared, 6, 11, 0x1.4d16e95a47debp+31, 5949, 142},
+      {9, kPerTableAndIndex, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 142},
+      {9, kPerTableAndIndex, 1, 11, 0x1.529bc37047a3p+21, 5949, 142},
+      {9, kPerTableAndIndex, 2, 11, 0x1.9d5724128f726p+34, 5949, 142},
+      {9, kPerTableAndIndex, 3, 11, 0x1.96285a00f2356p+34, 5949, 142},
+      {9, kPerTableAndIndex, 4, 13, 0x1.5ed15f1beffabp+25, 6370, 142},
+      {9, kPerTableAndIndex, 5, 14, 0x1.8fa39537d2188p+33, 5949, 142},
+      {9, kPerTableAndIndex, 6, 15, 0x1.70199a41da737p+30, 5867, 141},
+      {9, kColocated, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 142},
+      {9, kColocated, 1, 11, 0x1.529bc37047a3p+21, 5949, 142},
+      {9, kColocated, 2, 11, 0x1.9d5724128f727p+34, 5949, 142},
+      {9, kColocated, 3, 16, 0x1.82bee93279566p+24, 5949, 142},
+      {9, kColocated, 4, 14, 0x1.7627110a3634bp+34, 5949, 142},
+      {9, kColocated, 5, 11, 0x1.10193bc3982fdp+32, 5949, 142},
+      {9, kColocated, 6, 14, 0x1.7906b1e59bbe9p+31, 5949, 142},
+  };
+  const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
+  size_t checked = 0;
+  for (int number : {3, 5, 8, 9}) {
+    const Query q = tpch::MakeTpchQuery(cat, number);
+    for (LayoutPolicy policy : {kShared, kPerTableAndIndex, kColocated}) {
+      const StorageLayout layout(policy, cat, query::ReferencedTables(q));
+      const storage::ResourceSpace space = layout.BuildResourceSpace();
+      const Optimizer optimizer(cat, layout, space);
+      const auto prepared = optimizer.Prepare(q);
+      ASSERT_TRUE(prepared.ok());
+      const core::CostVector baseline = space.BaselineCosts();
+      const core::Box box = core::Box::MultiplicativeBand(baseline, 100.0);
+      const uint64_t all = box.VertexCount() - 1;
+      std::vector<core::CostVector> points = {
+          baseline, box.Vertex(0), box.Vertex(all),
+          box.Vertex(0x5555555555555555ull & all),
+          box.Vertex(0xAAAAAAAAAAAAAAAAull & all)};
+      Rng rng(17);
+      points.push_back(box.SampleLogUniform(rng));
+      points.push_back(box.SampleLogUniform(rng));
+      for (const Pin& pin : kPins) {
+        if (pin.query != number || pin.policy != policy) continue;
+        const core::CostVector& c = points[pin.point];
+        const Result<Optimized> r = optimizer.Optimize(**prepared, c);
+        ASSERT_TRUE(r.ok());
+        JoinEnumerator enumerator(**prepared);
+        ASSERT_TRUE(enumerator.BestPlan(c).ok());
+        const std::string where = q.name + " under " +
+                                  storage::LayoutPolicyName(policy) +
+                                  " at point " + std::to_string(pin.point);
+        EXPECT_EQ(r->plan->id, kIds[pin.id]) << where;
+        EXPECT_EQ(r->total_cost, pin.total_cost) << where;
+        EXPECT_EQ(enumerator.counters().priced, pin.priced) << where;
+        EXPECT_EQ(enumerator.counters().kept, pin.kept) << where;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPins));
 }
 
 }  // namespace

@@ -9,8 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "blackbox/narrow_optimizer.h"
+#include "common/rng.h"
+#include "core/feasible_region.h"
 #include "exp/figure_runner.h"
 #include "exp/report.h"
+#include "opt/optimizer.h"
 #include "runtime/thread_pool.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -93,6 +97,39 @@ TEST(EquivalenceTest, RepeatedParallelRunsAreIdentical) {
   EXPECT_EQ(a.plan_ids, b.plan_ids);
   EXPECT_EQ(a.table, b.table);
   EXPECT_EQ(a.csv, b.csv);
+}
+
+TEST(EquivalenceTest, SharedNarrowOptimizerAnswersAsSerial) {
+  // One NarrowOptimizer, and so one prepared plan space, shared read-only
+  // by four threads probing seeded cost vectors: every reply equals the
+  // serial reply at the same point, bit for bit.
+  const query::Query q = tpch::MakeTpchQuery(Cat(), 8);
+  const storage::StorageLayout layout(storage::LayoutPolicy::kPerTableAndIndex,
+                                      Cat(), query::ReferencedTables(q));
+  const storage::ResourceSpace space = layout.BuildResourceSpace();
+  const opt::Optimizer optimizer(Cat(), layout, space);
+  blackbox::NarrowOptimizer narrow(optimizer, q, /*white_box=*/true);
+  const core::Box box =
+      core::Box::MultiplicativeBand(space.BaselineCosts(), 100.0);
+  Rng rng(2024);
+  std::vector<core::CostVector> points;
+  for (int i = 0; i < 200; ++i) points.push_back(box.SampleLogUniform(rng));
+
+  std::vector<core::OracleResult> serial;
+  for (const core::CostVector& c : points) serial.push_back(narrow.Optimize(c));
+  ThreadPool pool(4);
+  const std::vector<core::OracleResult> shared = pool.ParallelMap(
+      points, [&narrow](size_t, const core::CostVector& c) {
+        return narrow.Optimize(c);
+      });
+
+  ASSERT_EQ(shared.size(), serial.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(shared[i].plan_id, serial[i].plan_id) << "point " << i;
+    EXPECT_EQ(shared[i].total_cost, serial[i].total_cost) << "point " << i;
+    EXPECT_EQ(shared[i].usage, serial[i].usage) << "point " << i;
+  }
+  EXPECT_EQ(narrow.calls(), 2 * points.size());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# The one CI entry point: configure + build + full test suite + the lint
-# gate (machine-readable), then targeted sanitizer builds. Each stage owns
+# The one CI entry point: configure + build + full test suite (every
+# label the root CMakeLists lists, including the full-size figure goldens
+# under golden_full) + the lint gate (machine-readable), then targeted
+# sanitizer builds. Each stage owns
 # a stable exit code so automation can tell *what* broke without parsing
 # logs:
 #
@@ -16,8 +18,9 @@
 #      with an artifact record, or the protocol fuzz smoke found a
 #      violation
 #   8  optimizer stage failed: micro_optimizer exited nonzero. The stage
-#      only reports (us per DP call, join candidates priced/built/kept
-#      per call); it never gates on timing, which varies across hosts
+#      only reports (us per query preparation, us per DP call, join
+#      candidates priced/built/kept per call); it never gates on timing,
+#      which varies across hosts
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
@@ -78,8 +81,9 @@ esac
 "$ROOT/build/tools/fuzz/protocol_fuzz" seed=7 iters=1500 \
   deadline_ms=120000 >/dev/null || exit 7
 
-stage "optimizer (report only: us per call, DP candidates per call)"
-"$ROOT/build/bench/micro_optimizer" --benchmark_filter=BM_OptimizeTpch \
+stage "optimizer (report only: us per prepare and per call, DP candidates per call)"
+"$ROOT/build/bench/micro_optimizer" \
+  --benchmark_filter='BM_PrepareTpch|BM_OptimizeTpch' \
   --benchmark_min_time=0.05 >&2 || exit 8
 
 if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
