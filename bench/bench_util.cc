@@ -4,10 +4,10 @@
 #include <memory>
 #include <utility>
 
+#include "engine/artifact.h"
 #include "exp/query_context.h"
 #include "exp/report.h"
 #include "runtime/cache_store.h"
-#include "runtime/sink/stages.h"
 #include "runtime/thread_pool.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -28,32 +28,6 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config) {
     bench.options.deltas = {2, 5, 10, 100, 1000, 10000};
   }
   return bench;
-}
-
-namespace {
-
-/// Writes one JSON line to stderr and appends it to
-/// config.bench_json_path when set, through an append FileSink as
-/// TextRenderer::WriteRunMetrics does. Best-effort: an unwritable path
-/// never fails a run.
-void EmitJsonLine(const engine::EngineConfig& config,
-                  const std::string& line) {
-  std::fputs(line.c_str(), stderr);
-  if (config.bench_json_path.empty()) return;
-  runtime::sink::FileSink file(config.bench_json_path,
-                               runtime::sink::FileSink::Mode::kAppend);
-  Status st = file.Write(line);
-  if (st.ok()) st = file.Close();
-  (void)st.ok();
-}
-
-}  // namespace
-
-void EmitBenchJson(const engine::EngineConfig& config,
-                   const std::string& bench_name,
-                   const runtime::RuntimeMetrics& metrics,
-                   const std::vector<std::pair<std::string, double>>& extra) {
-  EmitJsonLine(config, metrics.ToJsonLine(bench_name, extra));
 }
 
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
@@ -121,11 +95,11 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   metrics.tasks_run = pool_stats.tasks_run;
   metrics.queue_high_water = pool_stats.queue_high_water;
 
-  // Figure output through the configured sinks: the text sink keeps
-  // stdout byte-identical for every thread count, the JSON sidecar (when
-  // configured) captures the same series structured.
-  std::unique_ptr<engine::ArtifactWriter> writer = eng.MakeArtifactWriter();
-  writer->WriteFigure(title, all);
+  // Figure output: stdout stays byte-identical for every thread count,
+  // the JSON sidecar (when configured) captures the same series
+  // structured.
+  engine::ArtifactWriter writer(eng.config());
+  writer.WriteFigure(title, all);
   std::vector<std::pair<std::string, double>> extra = {
       {"queries", static_cast<double>(all.size())},
       {"oracle_calls", static_cast<double>(oracle_calls)},
@@ -151,8 +125,8 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
     extra.emplace_back("store_saved", static_cast<double>(t.saved));
     extra.emplace_back("store_rejected", t.rejected() ? 1.0 : 0.0);
   }
-  writer->WriteRunMetrics(bench_name, metrics, extra);
-  const Status finish = writer->Finish();
+  writer.WriteRunMetrics(bench_name, metrics, extra);
+  const Status finish = writer.Finish();
   if (!finish.ok()) {
     std::fprintf(stderr, "%s: artifact sink: %s\n", bench_name.c_str(),
                  finish.ToString().c_str());
@@ -198,10 +172,12 @@ int RunBenchMain(int argc, char** argv, const std::string& name,
   // count, mode and exit code machine-readably, even the ones with
   // bespoke stdout. Richer per-figure lines (cache counters) are emitted
   // separately by RunWorstCaseFigure and friends.
-  EmitJsonLine(eng->config(),
-               runtime::FootprintJsonLine(name, runtime::GlobalThreadCount(),
-                                          timer.ElapsedMs(),
-                                          eng->config().quick, rc));
+  engine::ArtifactWriter writer(eng->config());
+  writer.AppendPerfLine(runtime::FootprintJsonLine(
+      name, runtime::GlobalThreadCount(), timer.ElapsedMs(),
+      eng->config().quick, rc));
+  const Status finished = writer.Finish();
+  (void)finished.ok();  // best-effort, as every perf line
   return rc;
 }
 

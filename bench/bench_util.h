@@ -27,25 +27,16 @@ struct FigureBenchConfig {
 
 FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config);
 
-/// Emits one machine-readable JSON line for a bench run: always to
-/// stderr, and appended to config.bench_json_path when non-empty (e.g.
-/// BENCH_fig6.json) through an append runtime::sink::FileSink, so
-/// successive runs can track the perf trajectory. Best-effort: an
-/// unwritable path never fails the run. `extra` adds numeric fields.
-void EmitBenchJson(
-    const engine::EngineConfig& config, const std::string& bench_name,
-    const runtime::RuntimeMetrics& metrics,
-    const std::vector<std::pair<std::string, double>>& extra = {});
-
 /// Runs one full worst-case figure (paper Figures 5/6/7 depending on
 /// `policy`): per-query candidate-plan discovery and the GTC-vs-delta
 /// curve, fanned out over the process-global thread pool (sized by the
 /// engine config; 1 recovers the serial path, with byte-identical
-/// stdout). Output goes through the engine's artifact sinks: table and
-/// CSV on stdout, progress/metrics/perf-JSON on stderr, plus the
-/// structured JSON sidecar when configured. Returns the computed series
-/// for further use. The figures run fault-free; bench/fault_sweep drives
-/// FigureRunner with the fault tier directly.
+/// stdout). Output goes through one engine::ArtifactWriter: table and
+/// CSV on stdout, metrics and the perf-JSON line on stderr (the line also
+/// appended to config.bench_json_path), plus the structured JSON sidecar
+/// when configured; per-query progress goes to stderr directly. Returns
+/// the computed series for further use. The figures run fault-free;
+/// bench/fault_sweep drives FigureRunner with the fault tier directly.
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
     engine::Engine& eng, const std::string& title,
     const std::string& bench_name, storage::LayoutPolicy policy);
@@ -59,10 +50,11 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
 /// override prints the typed error to stderr and exits 2 without running
 /// the bench.
 ///
-/// After the body returns, one uniform perf-JSON line is emitted (stderr
-/// + config.bench_json_path, the same path as EmitBenchJson) carrying the total wall time, thread count,
-/// quick flag, and the body's exit code — so every binary, including the
-/// ones with bespoke output, reports a machine-readable footprint.
+/// After the body returns, one uniform perf-JSON line is appended through
+/// engine::ArtifactWriter::AppendPerfLine (stderr + config.bench_json_path,
+/// never the sidecar) carrying the total wall time, thread count, quick
+/// flag, and the body's exit code — so every binary, including the ones
+/// with bespoke output, reports a machine-readable footprint.
 int RunBenchMain(int argc, char** argv, const std::string& name,
                  const std::function<int(engine::Engine&, int, char**)>& body);
 

@@ -19,7 +19,8 @@
 // cache_path set the server loads the oracle-cache snapshot at startup
 // (cold on corruption or catalog mismatch, with typed telemetry) and
 // persists it on clean shutdown; with serve_stats_interval_ms set it
-// writes periodic stats snapshots through the artifact sinks while
+// writes periodic stats snapshots through its engine::ArtifactWriter
+// (stderr, bench-JSON line and sidecar, like every run's metrics) while
 // serving, not only at shutdown, and reaps idle sessions on the same
 // cadence.
 #include <cstdio>
@@ -87,11 +88,11 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
   // The periodic in-flight stats snapshotter (and idle watchdog driver);
   // inert when the interval knob is 0. It shares the artifact writer with
   // the shutdown record below, so it is stopped before that write.
-  std::unique_ptr<engine::ArtifactWriter> writer = eng.MakeArtifactWriter();
+  engine::ArtifactWriter writer(config);
   serve::SnapshotterOptions snapshot_options;
   snapshot_options.interval_ns =
       static_cast<uint64_t>(config.serve_stats_interval_ms) * 1'000'000ULL;
-  serve::StatsSnapshotter snapshotter(server, *writer, snapshot_options);
+  serve::StatsSnapshotter snapshotter(server, writer, snapshot_options);
   snapshotter.Start();
 
   runtime::WallTimer timer;
@@ -103,7 +104,7 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
   server.Shutdown();
   (*listener)->Close();
 
-  // Shutdown telemetry through the configured sinks, with an explicit
+  // Shutdown telemetry through the artifact writer, with an explicit
   // checkpoint Flush so the sidecar is on disk before teardown.
   const serve::ServerStats stats = server.stats();
   if (stats.dispatcher.persistent) {
@@ -121,7 +122,7 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
   metrics.threads = eng.pool().num_threads();
   metrics.phase_wall_ms.emplace_back("serve", timer.ElapsedMs());
   metrics.AddCacheStats(stats.dispatcher.cache);
-  writer->WriteRunMetrics(
+  writer.WriteRunMetrics(
       "costsense_serve", metrics,
       {{"sessions", static_cast<double>(stats.sessions)},
        {"requests", static_cast<double>(stats.dispatcher.requests)},
@@ -141,12 +142,12 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
        {"store_saved", static_cast<double>(stats.dispatcher.store.saved)},
        {"store_rejected",
         stats.dispatcher.store.rejected() ? 1.0 : 0.0}});
-  const Status checkpoint = writer->Flush();
+  const Status checkpoint = writer.Flush();
   if (!checkpoint.ok()) {
     std::fprintf(stderr, "costsense-serve: checkpoint flush: %s\n",
                  checkpoint.ToString().c_str());
   }
-  const Status finished = writer->Finish();
+  const Status finished = writer.Finish();
   if (!finished.ok()) {
     std::fprintf(stderr, "costsense-serve: artifact sink: %s\n",
                  finished.ToString().c_str());

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "engine/artifact.h"
 #include "exp/figure_runner.h"
 #include "exp/report.h"
 #include "runtime/metrics.h"
@@ -108,6 +109,9 @@ RunOutput RunFigure(const catalog::Catalog& catalog, runtime::ThreadPool* pool,
 
 int Run(engine::Engine& eng) {
   const catalog::Catalog catalog = tpch::MakeTpchCatalog(100.0);
+  // Per-configuration perf lines only: this harness writes no figure or
+  // sidecar record.
+  engine::ArtifactWriter writer(eng.config());
   runtime::resilience::ManualClock clock;
 
   int failures = 0;
@@ -158,11 +162,11 @@ int Run(engine::Engine& eng) {
         check(run.metrics.oracle_retries >= run.metrics.faults_injected,
               tag + ": every fault was absorbed by a retry");
       }
-      EmitBenchJson(
-          eng.config(), "fault_sweep_t" + std::to_string(threads), run.metrics,
+      writer.AppendPerfLine(run.metrics.ToJsonLine(
+          "fault_sweep_t" + std::to_string(threads),
           {{"fault_rate", rate},
            {"retry_budget", 5.0},
-           {"probe_calls", static_cast<double>(run.probe_calls)}});
+           {"probe_calls", static_cast<double>(run.probe_calls)}}));
     }
   }
 
@@ -190,11 +194,16 @@ int Run(engine::Engine& eng) {
       check(a.oracle_attempts == a.oracle_probe_calls + a.oracle_retries,
             a.query_name + ": attempts == calls + retries");
     }
-    EmitBenchJson(eng.config(), "fault_sweep_degraded", degraded.metrics,
-                  {{"fault_rate", 0.20},
-                   {"retry_budget", 0.0},
-                   {"probe_calls",
-                    static_cast<double>(degraded.probe_calls)}});
+    writer.AppendPerfLine(degraded.metrics.ToJsonLine(
+        "fault_sweep_degraded",
+        {{"fault_rate", 0.20},
+         {"retry_budget", 0.0},
+         {"probe_calls", static_cast<double>(degraded.probe_calls)}}));
+  }
+  const Status finished = writer.Finish();
+  if (!finished.ok()) {
+    std::fprintf(stderr, "fault_sweep: artifact writer: %s\n",
+                 finished.ToString().c_str());
   }
 
   if (failures == 0) {

@@ -207,11 +207,11 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
   metrics.tasks_run = pool_stats.tasks_run;
   metrics.queue_high_water = pool_stats.queue_high_water;
 
-  // Metrics through the configured sinks (stderr render + the bench-JSON
+  // Metrics through the artifact writer (stderr render + the bench-JSON
   // line + the structured sidecar when configured), then an explicit
   // checkpoint Flush so the artifacts survive even if the process dies
   // before the summary.
-  std::unique_ptr<engine::ArtifactWriter> writer = eng.MakeArtifactWriter();
+  engine::ArtifactWriter writer(eng.config());
   std::vector<std::pair<std::string, double>> extras = {
       {"sessions", static_cast<double>(load.sessions)},
       {"requests", static_cast<double>(latencies.size() + shed + errors)},
@@ -233,8 +233,8 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
     extras.emplace_back("lat_" + name + "_p50_ms", Percentile(by_kind[k], .5));
     extras.emplace_back("lat_" + name + "_p99_ms", Percentile(by_kind[k], .99));
   }
-  writer->WriteRunMetrics("loadgen", metrics, extras);
-  const Status checkpoint = writer->Flush();
+  writer.WriteRunMetrics("loadgen", metrics, extras);
+  const Status checkpoint = writer.Flush();
   if (!checkpoint.ok()) {
     std::fprintf(stderr, "loadgen: checkpoint flush: %s\n",
                  checkpoint.ToString().c_str());
@@ -249,7 +249,7 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
       static_cast<size_t>(stats.admission.rejected), Percentile(latencies, .5),
       Percentile(latencies, .99), Percentile(latencies, .999));
 
-  const Status finished = writer->Finish();
+  const Status finished = writer.Finish();
   if (!finished.ok()) {
     std::fprintf(stderr, "loadgen: artifact sink: %s\n",
                  finished.ToString().c_str());

@@ -10,10 +10,15 @@ NarrowOptimizer::NarrowOptimizer(const opt::Optimizer& optimizer,
       prepared_(optimizer.Prepare(query)),
       white_box_(white_box) {}
 
+Result<opt::Optimized> NarrowOptimizer::Explain(
+    const core::CostVector& c) const {
+  if (!prepared_.ok()) return prepared_.status();
+  return optimizer_.Optimize(**prepared_, c);
+}
+
 core::OracleResult NarrowOptimizer::Optimize(const core::CostVector& c) {
   calls_.fetch_add(1, std::memory_order_relaxed);
-  COSTSENSE_CHECK_MSG(prepared_.ok(), prepared_.status().ToString().c_str());
-  const Result<opt::Optimized> r = optimizer_.Optimize(**prepared_, c);
+  const Result<opt::Optimized> r = Explain(c);
   COSTSENSE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
   core::OracleResult out;
   out.plan_id = r->plan->id;

@@ -28,6 +28,13 @@ class NarrowOptimizer : public core::PlanOracle {
   core::OracleResult Optimize(const core::CostVector& c) override;
   size_t dims() const override;
 
+  /// The plan the optimizer picks at `c`, in full — the DBA's EXPLAIN,
+  /// which reveals the plan even where Optimize() hides its usage. Runs
+  /// on the same prepared plan space as Optimize() but is not an oracle
+  /// call: calls() does not count it.
+  [[nodiscard]] Result<opt::Optimized> Explain(
+      const core::CostVector& c) const;
+
   /// Number of optimization calls made so far (the paper's experiments are
   /// budgeted in optimizer invocations). The counter is atomic, and
   /// Optimize() touches no other mutable state (the prepared plan space is

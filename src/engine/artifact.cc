@@ -1,7 +1,9 @@
 #include "engine/artifact.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/strings.h"
 #include "exp/report.h"
@@ -50,75 +52,32 @@ std::string EscapeJson(std::string_view text) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// TextRenderer
-// ---------------------------------------------------------------------------
 
-TextRenderer::TextRenderer(std::string bench_json_path)
-    : bench_json_path_(std::move(bench_json_path)),
-      out_(stdout),
-      err_(stderr) {}
+ArtifactWriter::ArtifactWriter(const EngineConfig& config)
+    : bench_json_path_(config.bench_json_path),
+      sidecar_path_(config.artifact_json_path) {}
 
-void TextRenderer::Note(Status st) {
+void ArtifactWriter::Note(Status st) {
   if (!st.ok() && deferred_.ok()) deferred_ = std::move(st);
 }
 
-void TextRenderer::WriteFigure(const std::string& title,
-                               const std::vector<exp::FigureSeries>& series) {
+void ArtifactWriter::Put(std::FILE* stream, std::string_view text) {
+  if (text.empty()) return;
+  if (std::fwrite(text.data(), 1, text.size(), stream) != text.size()) {
+    Note(Status::Internal("short write to stdio stream"));
+  }
+}
+
+void ArtifactWriter::WriteFigure(
+    const std::string& title, const std::vector<exp::FigureSeries>& series) {
   // Byte-for-byte the pre-engine driver output: table, blank line, CSV.
-  Note(out_.Write(exp::RenderFigureTable(title, series)));
-  Note(out_.Write("\nCSV:\n"));
-  Note(out_.Write(exp::RenderFigureCsv(series)));
-}
+  Put(stdout, exp::RenderFigureTable(title, series));
+  Put(stdout, "\nCSV:\n");
+  Put(stdout, exp::RenderFigureCsv(series));
+  if (sidecar_path_.empty()) return;
 
-void TextRenderer::WriteTextBlock(const std::string& text) {
-  Note(out_.Write(text));
-}
-
-void TextRenderer::WriteRunMetrics(
-    const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
-    const std::vector<std::pair<std::string, double>>& extra) {
-  Note(err_.Write(metrics.Render()));
-  const std::string line = metrics.ToJsonLine(bench_name, extra);
-  Note(err_.Write(line));
-  if (bench_json_path_.empty()) return;
-  if (bench_json_ == nullptr) {
-    bench_json_ = std::make_unique<runtime::sink::FileSink>(
-        bench_json_path_, runtime::sink::FileSink::Mode::kAppend);
-  }
-  // The perf line is best-effort, exactly as the historical fopen-append
-  // was: an unwritable path never fails a figure run. The eager Flush
-  // keeps each line on disk as soon as it is produced.
-  Status st = bench_json_->Write(line);
-  if (st.ok()) st = bench_json_->Flush();
-  (void)st.ok();
-}
-
-Status TextRenderer::Flush() {
-  Note(out_.Flush());
-  Note(err_.Flush());
-  return deferred_;
-}
-
-Status TextRenderer::Finish() {
-  if (bench_json_ != nullptr) {
-    const Status st = bench_json_->Close();
-    (void)st.ok();  // best-effort, matching WriteRunMetrics
-  }
-  return Flush();
-}
-
-// ---------------------------------------------------------------------------
-// JsonWriter
-// ---------------------------------------------------------------------------
-
-JsonWriter::JsonWriter(std::string path) : path_(std::move(path)) {}
-
-void JsonWriter::WriteFigure(const std::string& title,
-                             const std::vector<exp::FigureSeries>& series) {
-  std::string line =
-      "{\"artifact\":\"figure\",\"title\":\"" + EscapeJson(title) +
-      "\",\"series\":[";
+  std::string line = "{\"artifact\":\"figure\",\"title\":\"" +
+                     EscapeJson(title) + "\",\"series\":[";
   for (size_t s = 0; s < series.size(); ++s) {
     const exp::FigureSeries& fs = series[s];
     if (s > 0) line += ",";
@@ -137,98 +96,74 @@ void JsonWriter::WriteFigure(const std::string& title,
     line += "]}";
   }
   line += "]}\n";
-  buffer_ += line;
+  sidecar_buffer_ += line;
 }
 
-void JsonWriter::WriteTextBlock(const std::string& text) {
-  buffer_ += "{\"artifact\":\"text\",\"text\":\"" + EscapeJson(text) + "\"}\n";
-}
-
-void JsonWriter::WriteRunMetrics(
+void ArtifactWriter::WriteRunMetrics(
     const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
     const std::vector<std::pair<std::string, double>>& extra) {
-  // Same schema as the perf line on stderr, tagged as a metrics artifact.
+  Put(stderr, metrics.Render());
   std::string line = metrics.ToJsonLine(bench_name, extra);
+  AppendPerfLine(line);
+  if (sidecar_path_.empty()) return;
+  // Same schema as the perf line, tagged as a metrics artifact.
   line.insert(1, "\"artifact\":\"metrics\",");
-  buffer_ += line;
+  sidecar_buffer_ += line;
 }
 
-Status JsonWriter::Wrap(Status st) const {
+void ArtifactWriter::AppendPerfLine(const std::string& line) {
+  Put(stderr, line);
+  if (bench_json_path_.empty()) return;
+  if (bench_json_ == nullptr) {
+    bench_json_ = std::make_unique<runtime::sink::FileSink>(
+        bench_json_path_, runtime::sink::FileSink::Mode::kAppend);
+  }
+  // Best-effort, as the perf line always was: an unwritable path never
+  // fails a run.
+  Status st = bench_json_->Write(line);
+  if (st.ok()) st = bench_json_->Flush();
+  (void)st.ok();
+}
+
+Status ArtifactWriter::WrapSidecar(Status st) const {
   if (st.ok()) return st;
-  return Status(st.code(), "artifact sidecar " + path_ + ": " + st.message());
+  return Status(st.code(),
+                "artifact sidecar " + sidecar_path_ + ": " + st.message());
 }
 
-Status JsonWriter::Flush() {
-  if (buffer_.empty()) return Status::Ok();
-  if (file_ == nullptr) {
-    file_ = std::make_unique<runtime::sink::FileSink>(
-        path_, runtime::sink::FileSink::Mode::kAppend);
+Status ArtifactWriter::Flush() {
+  for (std::FILE* stream : {stdout, stderr}) {
+    if (std::fflush(stream) != 0) {
+      Note(Status::Internal(std::string("fflush failed: ") +
+                            std::strerror(errno)));
+    }
   }
-  Status st = file_->Write(buffer_);
-  if (st.ok()) st = file_->Flush();
-  if (!st.ok()) return Wrap(std::move(st));  // buffer kept for a retry
-  buffer_.clear();
-  return Status::Ok();
+  Status sidecar;
+  if (!sidecar_buffer_.empty()) {
+    if (sidecar_ == nullptr) {
+      sidecar_ = std::make_unique<runtime::sink::FileSink>(
+          sidecar_path_, runtime::sink::FileSink::Mode::kAppend);
+    }
+    sidecar = sidecar_->Write(sidecar_buffer_);
+    if (sidecar.ok()) sidecar = sidecar_->Flush();
+    if (sidecar.ok()) sidecar_buffer_.clear();  // else kept for a retry
+  }
+  return deferred_.ok() ? WrapSidecar(std::move(sidecar)) : deferred_;
 }
 
-Status JsonWriter::Finish() {
+Status ArtifactWriter::Finish() {
+  if (bench_json_ != nullptr) {
+    const Status closed = bench_json_->Close();
+    (void)closed.ok();  // best-effort, matching AppendPerfLine
+    bench_json_.reset();
+  }
   Status st = Flush();
-  if (!st.ok()) return st;
-  if (file_ == nullptr) return Status::Ok();  // nothing ever flushed
-  st = file_->Close();
-  // A later Flush reopens the file appending after these bytes, so batch
-  // runs accumulate exactly as the historical fopen("a") did.
-  file_.reset();
-  return Wrap(std::move(st));
-}
-
-// ---------------------------------------------------------------------------
-// MultiWriter
-// ---------------------------------------------------------------------------
-
-MultiWriter::MultiWriter(std::vector<std::unique_ptr<ArtifactWriter>> sinks)
-    : sinks_(std::move(sinks)) {}
-
-void MultiWriter::WriteFigure(const std::string& title,
-                              const std::vector<exp::FigureSeries>& series) {
-  for (auto& sink : sinks_) sink->WriteFigure(title, series);
-}
-
-void MultiWriter::WriteTextBlock(const std::string& text) {
-  for (auto& sink : sinks_) sink->WriteTextBlock(text);
-}
-
-void MultiWriter::WriteRunMetrics(
-    const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
-    const std::vector<std::pair<std::string, double>>& extra) {
-  for (auto& sink : sinks_) sink->WriteRunMetrics(bench_name, metrics, extra);
-}
-
-Status MultiWriter::Flush() {
-  Status first;
-  for (auto& sink : sinks_) {
-    Status st = sink->Flush();
-    if (!st.ok() && first.ok()) first = std::move(st);
+  if (sidecar_ != nullptr && sidecar_buffer_.empty()) {
+    const Status closed = WrapSidecar(sidecar_->Close());
+    sidecar_.reset();
+    if (st.ok()) st = closed;
   }
-  return first;
-}
-
-Status MultiWriter::Finish() {
-  Status first;
-  for (auto& sink : sinks_) {
-    Status st = sink->Finish();
-    if (!st.ok() && first.ok()) first = std::move(st);
-  }
-  return first;
-}
-
-std::unique_ptr<ArtifactWriter> MakeArtifactWriter(const EngineConfig& config) {
-  auto text = std::make_unique<TextRenderer>(config.bench_json_path);
-  if (config.artifact_json_path.empty()) return text;
-  std::vector<std::unique_ptr<ArtifactWriter>> sinks;
-  sinks.push_back(std::move(text));
-  sinks.push_back(std::make_unique<JsonWriter>(config.artifact_json_path));
-  return std::make_unique<MultiWriter>(std::move(sinks));
+  return st;
 }
 
 }  // namespace costsense::engine

@@ -1,8 +1,10 @@
 #ifndef COSTSENSE_ENGINE_ARTIFACT_H_
 #define COSTSENSE_ENGINE_ARTIFACT_H_
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,130 +16,84 @@
 
 namespace costsense::engine {
 
-/// Where figure/table results go, decoupled from how they were computed.
+/// The one place a run's results leave the process, decoupled from how
+/// they were computed:
 ///
-/// Drivers emit three artifact kinds: a figure (title + per-query GTC
-/// series), a pre-rendered text block (the census/bounds tables), and a
-/// run's RuntimeMetrics (which carry the resilience telemetry). Sinks
-/// decide the representation: TextRenderer reproduces today's stdout
-/// byte-for-byte, JsonWriter captures the same data structured.
+///   - figures: table and CSV on stdout, byte-identical to the pre-engine
+///     drivers (proven by the golden harness);
+///   - metrics: the human-readable block on stderr, then the perf line;
+///   - perf lines: stderr, and appended to config.bench_json_path when
+///     set (best-effort: an unwritable path never fails a run);
+///   - sidecar: when config.artifact_json_path is set, every figure and
+///     metrics record is also buffered as one JSON object per line and
+///     appended to that file at Flush/Finish. Figure series keep full
+///     fidelity (per-point delta, gtc and worst rival, plus the
+///     per-series Theorem 2 bound), so runs are machine-diffable without
+///     scraping stdout.
+///
+/// The Write* entry points are void: a failed stdout/stderr write (short
+/// write) is remembered and surfaced as the first error from
+/// Flush()/Finish(). Not thread-safe; a writer shared across threads (the
+/// serve stats snapshotter) is serialized by its users.
 class ArtifactWriter {
  public:
-  virtual ~ArtifactWriter() = default;
+  explicit ArtifactWriter(const EngineConfig& config);
 
-  /// One worst-case figure: the table/CSV pair on the text sink, one
-  /// structured series record on the JSON sink.
-  virtual void WriteFigure(const std::string& title,
-                           const std::vector<exp::FigureSeries>& series) = 0;
+  ArtifactWriter(const ArtifactWriter&) = delete;
+  ArtifactWriter& operator=(const ArtifactWriter&) = delete;
 
-  /// A pre-rendered block (tables that are not GTC series). The text sink
-  /// forwards it verbatim.
-  virtual void WriteTextBlock(const std::string& text) = 0;
-
-  /// Per-run counters and resilience telemetry. `extra` appends numeric
-  /// fields to the machine-readable form.
-  virtual void WriteRunMetrics(
-      const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
-      const std::vector<std::pair<std::string, double>>& extra = {}) = 0;
-
-  /// Persists everything buffered so far without ending the run — the
-  /// checkpoint entry point. A long-lived producer (the analysis server,
-  /// the load generator) calls this at checkpoints and on shutdown so an
-  /// aborted run keeps every artifact written up to the last Flush.
-  /// Idempotent; a Flush with nothing buffered is a no-op.
-  [[nodiscard]] virtual Status Flush() = 0;
-
-  /// Flushes sink state (e.g. the JSON sidecar file). Idempotent.
-  [[nodiscard]] virtual Status Finish() = 0;
-};
-
-/// The classic rendering: figures/tables to stdout (byte-identical to the
-/// pre-engine drivers, proven by the golden harness), metrics to stderr as
-/// the human-readable block plus one perf-JSON line, the latter also
-/// appended to `bench_json_path` when non-empty.
-///
-/// Internally every byte now travels through a sink chain — stdout/stderr
-/// through borrowed StdioSinks, the perf line through an append FileSink.
-/// The Write* entry points are void, so a failed write is remembered and
-/// surfaced as the first error from Flush()/Finish().
-class TextRenderer final : public ArtifactWriter {
- public:
-  explicit TextRenderer(std::string bench_json_path = "");
-
+  /// One worst-case figure: the table/CSV pair on stdout, one structured
+  /// series record in the sidecar.
   void WriteFigure(const std::string& title,
-                   const std::vector<exp::FigureSeries>& series) override;
-  void WriteTextBlock(const std::string& text) override;
+                   const std::vector<exp::FigureSeries>& series);
+
+  /// Per-run counters and resilience telemetry: the rendered block on
+  /// stderr, the perf line (AppendPerfLine), and the same line tagged
+  /// `"artifact":"metrics"` in the sidecar. `extra` appends numeric
+  /// fields to the machine-readable form.
   void WriteRunMetrics(
       const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
-      const std::vector<std::pair<std::string, double>>& extra) override;
-  [[nodiscard]] Status Flush() override;
-  [[nodiscard]] Status Finish() override;
+      const std::vector<std::pair<std::string, double>>& extra = {});
+
+  /// Appends one finished perf-JSON line to stderr and to the bench-JSON
+  /// file, flushed at once so the line is on disk as soon as it exists.
+  /// The sidecar never sees it: callers with records that are not a
+  /// run's artifacts (fault_sweep's per-rate lines, the bench footprint)
+  /// call this directly.
+  void AppendPerfLine(const std::string& line);
+
+  /// Checkpoint: flushes stdout/stderr and appends the buffered sidecar
+  /// lines without ending the run. A long-lived producer (the analysis
+  /// server, the load generator) calls this at checkpoints and on
+  /// shutdown so an aborted run keeps every artifact written up to the
+  /// last Flush. A failed sidecar write keeps the buffer for a retry.
+  [[nodiscard]] Status Flush();
+
+  /// Flush, then closes the files. Idempotent; a later write reopens them
+  /// appending, so batch runs accumulate.
+  [[nodiscard]] Status Finish();
+
+  /// The sidecar lines buffered since the last Flush (tests inspect
+  /// them without touching the disk); always empty when unconfigured.
+  const std::string& buffered() const { return sidecar_buffer_; }
 
  private:
-  /// Remembers the first failed write until Flush/Finish reports it.
+  /// Writes `text` to a process stream, remembering a short write.
+  void Put(std::FILE* stream, std::string_view text);
+  /// Remembers the first failed stdio write until Flush/Finish reports it.
   void Note(Status st);
+  /// Tags a sink error with the sidecar path for the caller.
+  [[nodiscard]] Status WrapSidecar(Status st) const;
 
   const std::string bench_json_path_;
-  runtime::sink::StdioSink out_;
-  runtime::sink::StdioSink err_;
+  const std::string sidecar_path_;
+  std::string sidecar_buffer_;
+  /// Opened by the first perf line / non-empty sidecar flush, released by
+  /// Finish.
   std::unique_ptr<runtime::sink::FileSink> bench_json_;
+  std::unique_ptr<runtime::sink::FileSink> sidecar_;
   Status deferred_;
 };
-
-/// Structured sidecar: every artifact as one JSON object per line,
-/// buffered and written to `path` on Finish (append mode, so batch runs
-/// accumulate). Figure series keep full fidelity — per-point delta, gtc
-/// and worst rival, plus the per-series Theorem 2 bound — making runs
-/// machine-diffable without scraping stdout.
-class JsonWriter final : public ArtifactWriter {
- public:
-  /// Flush appends the buffered lines to `path` through one FileSink, so
-  /// the file holds exactly what buffered() showed.
-  explicit JsonWriter(std::string path);
-
-  void WriteFigure(const std::string& title,
-                   const std::vector<exp::FigureSeries>& series) override;
-  void WriteTextBlock(const std::string& text) override;
-  void WriteRunMetrics(
-      const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
-      const std::vector<std::pair<std::string, double>>& extra) override;
-  [[nodiscard]] Status Flush() override;
-  [[nodiscard]] Status Finish() override;
-
-  /// The buffered JSON lines (tests inspect without touching the disk).
-  const std::string& buffered() const { return buffer_; }
-
- private:
-  /// Tags a sink error with the sidecar path for the caller.
-  [[nodiscard]] Status Wrap(Status st) const;
-
-  const std::string path_;
-  std::string buffer_;
-  /// Opened by the first non-empty Flush, released by Finish.
-  std::unique_ptr<runtime::sink::FileSink> file_;
-};
-
-/// Fans every artifact out to several sinks in order.
-class MultiWriter final : public ArtifactWriter {
- public:
-  explicit MultiWriter(std::vector<std::unique_ptr<ArtifactWriter>> sinks);
-
-  void WriteFigure(const std::string& title,
-                   const std::vector<exp::FigureSeries>& series) override;
-  void WriteTextBlock(const std::string& text) override;
-  void WriteRunMetrics(
-      const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
-      const std::vector<std::pair<std::string, double>>& extra) override;
-  [[nodiscard]] Status Flush() override;
-  [[nodiscard]] Status Finish() override;
-
- private:
-  std::vector<std::unique_ptr<ArtifactWriter>> sinks_;
-};
-
-/// The configured sink set: always a TextRenderer (stdout contract), plus
-/// a JsonWriter sidecar when config.artifact_json_path is set.
-std::unique_ptr<ArtifactWriter> MakeArtifactWriter(const EngineConfig& config);
 
 /// Escapes `text` for embedding in a JSON string literal.
 std::string EscapeJson(std::string_view text);

@@ -1,5 +1,6 @@
 #include "engine/config.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -40,13 +41,19 @@ constexpr Knob kKnobs[] = {
       static_cast<int>(expected.size()), expected.data()));
 }
 
+/// Digits only: strtoull alone would take leading blanks and a sign
+/// (" -5" wraps to 2^64 - 5) and saturate on overflow, and such a value
+/// must be a typed error, not a thread count.
 [[nodiscard]] Status ParseSize(std::string_view source, std::string_view value,
                                size_t min_value, size_t* out) {
   const std::string text(value);
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' ||
-      text.front() == '-' || parsed < min_value) {
+  const bool digits_only =
+      !text.empty() &&
+      text.find_first_not_of("0123456789") == std::string::npos;
+  errno = 0;
+  const unsigned long long parsed =
+      digits_only ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+  if (!digits_only || errno == ERANGE || parsed < min_value) {
     return BadValue(source, value,
                     StrFormat("an integer >= %zu", min_value));
   }

@@ -1,10 +1,9 @@
 #ifndef COSTSENSE_ENGINE_ENGINE_H_
 #define COSTSENSE_ENGINE_ENGINE_H_
 
-#include <memory>
+#include <utility>
 
 #include "common/status.h"
-#include "engine/artifact.h"
 #include "engine/config.h"
 #include "runtime/thread_pool.h"
 
@@ -12,9 +11,9 @@ namespace costsense::engine {
 
 /// The unified analysis engine: one configured entry point that every
 /// driver builds its pipeline from. Creating an Engine applies the
-/// config's process-wide setting (the global thread-pool size) and hands
-/// out the configured artifact sinks, so no entry point assembles them ad
-/// hoc.
+/// config's process-wide setting (the global thread-pool size); drivers
+/// build their engine::ArtifactWriter from config(), so every run reports
+/// through the same output path.
 class Engine {
  public:
   /// Applies `config` to the process: sizes the global thread pool.
@@ -27,12 +26,6 @@ class Engine {
 
   /// The process-global pool, sized per config().threads.
   runtime::ThreadPool& pool() const { return runtime::ThreadPool::Global(); }
-
-  /// The configured artifact sink set (TextRenderer, plus the JSON
-  /// sidecar when artifact_json_path is set).
-  std::unique_ptr<ArtifactWriter> MakeArtifactWriter() const {
-    return engine::MakeArtifactWriter(config_);
-  }
 
  private:
   explicit Engine(EngineConfig config) : config_(std::move(config)) {}

@@ -39,8 +39,9 @@ Result<std::unique_ptr<QueryContext>> QueryContext::Create(
     ctx->initial_plan_id = initial.plan_id;
     ctx->initial_usage = *initial.usage;
   } else {
-    const Result<opt::Optimized> initial =
-        ctx->optimizer.Optimize(ctx->query, ctx->baseline);
+    // EXPLAIN on the oracle's own prepared plan space, then the warm-up
+    // probe through the cache (the one counted optimizer call).
+    const Result<opt::Optimized> initial = ctx->narrow.Explain(ctx->baseline);
     if (!initial.ok()) return initial.status();
     ctx->initial_plan_id = initial->plan->id;
     ctx->initial_usage = initial->plan->usage;

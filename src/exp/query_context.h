@@ -30,8 +30,9 @@ struct QueryContext {
   /// Builds the context and computes the initial plan once: in white-box
   /// mode through the cache (which also warms it at the box center every
   /// multiplicative band shares); in narrow mode, where the oracle hides
-  /// usage vectors, directly from the optimizer (the DBA can always
-  /// EXPLAIN the current plan) plus one warm-up probe of the cache.
+  /// usage vectors, from NarrowOptimizer::Explain on the oracle's own
+  /// prepared plan space (the DBA can always EXPLAIN the current plan)
+  /// plus one warm-up probe of the cache.
   /// `store` (not owned, may be null) seeds the cache from the pair's
   /// scope; stack.PublishToStore() writes it back.
   [[nodiscard]] static Result<std::unique_ptr<QueryContext>> Create(

@@ -8,14 +8,17 @@
 namespace costsense::runtime::sink {
 
 /// One stage of a composable result-output chain (modeled on xtrabackup's
-/// ds_* datasinks): every producer in the repo — figure stdout, the JSON
-/// sidecar, cache-store snapshots, serve's streamed response records —
-/// writes through a stack of these stages instead of bespoke I/O code.
+/// ds_* datasinks): every file or stream producer in the repo — the JSON
+/// sidecar and bench-JSON files, cache-store snapshots, serve's streamed
+/// response records — writes through a stack of these stages instead of
+/// bespoke I/O code. Figure stdout and the stderr metrics are the
+/// exception: engine::ArtifactWriter writes the process's own streams
+/// directly, with the same short-write/fflush error reporting.
 ///
 /// Contract:
 ///
 ///   Write(span)  Appends `span` to the stream. Byte-oriented stages
-///                (string, stdio, file) treat the stream as one byte
+///                (string, file) treat the stream as one byte
 ///                sequence and MUST produce output that depends only on
 ///                the concatenated bytes plus the Flush/Close points,
 ///                never on how writes were chunked. Record-oriented

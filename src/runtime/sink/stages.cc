@@ -41,27 +41,6 @@ Status StringSink::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// StdioSink
-// ---------------------------------------------------------------------------
-
-Status StdioSink::Write(std::string_view span) {
-  if (span.empty()) return Status::Ok();
-  const size_t written = std::fwrite(span.data(), 1, span.size(), stream_);
-  if (written != span.size()) {
-    return Status::Internal("short write to stdio stream");
-  }
-  return Status::Ok();
-}
-
-Status StdioSink::Flush() {
-  if (std::fflush(stream_) != 0) {
-    return Status::Internal(std::string("fflush failed: ") +
-                            std::strerror(errno));
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
 // CrcFrameSink
 // ---------------------------------------------------------------------------
 

@@ -27,22 +27,6 @@ class StringSink final : public Sink {
   bool closed_ = false;
 };
 
-/// Terminal stage over an existing stdio stream (stdout, stderr). The
-/// stream is borrowed, never fclosed: Close only flushes, so the figure
-/// drivers can route their byte-compared stdout through a chain without
-/// surrendering the process's stream.
-class StdioSink final : public Sink {
- public:
-  explicit StdioSink(std::FILE* stream) : stream_(stream) {}
-
-  [[nodiscard]] Status Write(std::string_view span) override;
-  [[nodiscard]] Status Flush() override;
-  [[nodiscard]] Status Close() override { return Flush(); }
-
- private:
-  std::FILE* stream_;
-};
-
 /// Record framing: each Write() becomes one downstream record
 ///
 ///   u32 body length (big-endian) | u32 CRC32(body) | body bytes

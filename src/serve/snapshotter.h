@@ -22,11 +22,11 @@ struct SnapshotterOptions {
   runtime::resilience::Clock* clock = nullptr;
 };
 
-/// Emits periodic server-side stats snapshots through the artifact sinks
+/// Emits periodic server-side stats snapshots through the artifact writer
 /// while the server is serving — not only at shutdown — and runs the idle
 /// watchdog on the same cadence. Each tick writes one RuntimeMetrics
 /// record named "serve-stats" (sequence number, admission and cache
-/// counters, active sessions) and flushes the sinks, so an aborted server
+/// counters, active sessions) and flushes the writer, so an aborted server
 /// still leaves every snapshot up to the last tick on disk.
 ///
 /// The server and the writer must outlive this object. Stop() (or
@@ -51,7 +51,7 @@ class StatsSnapshotter {
   void Stop();
 
   /// One snapshot now, on the caller's thread: reap idle sessions, write
-  /// the stats record, flush the sinks. Serialized against the background
+  /// the stats record, flush the writer. Serialized against the background
   /// thread. Returns the number of idle sessions reaped.
   size_t TickOnce();
 

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace costsense::engine {
@@ -91,9 +92,16 @@ TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
 }
 
 TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
-  const std::map<std::string, std::string> bad = {
+  // Parsed through FromEnv only: none of these may ever size a pool.
+  const std::vector<std::pair<std::string, std::string>> bad = {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
+      {"COSTSENSE_THREADS", " -5"},
+      {"COSTSENSE_THREADS", "99999999999999999999"},
+      {"COSTSENSE_THREADS", " 5"},
+      {"COSTSENSE_THREADS", "+5"},
+      {"COSTSENSE_THREADS", "-0"},
+      {"COSTSENSE_THREADS", ""},
   };
   for (const auto& [name, value] : bad) {
     const std::map<std::string, std::string> env = {{name, value}};
@@ -106,6 +114,14 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
         << config.status().ToString();
     EXPECT_NE(config.status().message().find(value), std::string::npos)
         << config.status().ToString();
+  }
+  // The override spelling shares the parser; a refused value leaves the
+  // config untouched.
+  for (const char* value : {" -5", "99999999999999999999", " 5", "+5"}) {
+    EngineConfig config;
+    const Status st = config.ApplyOverride(std::string("threads=") + value);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_EQ(config.threads, EngineConfig{}.threads) << value;
   }
 }
 

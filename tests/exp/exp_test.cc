@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/strings.h"
 #include "exp/figure_runner.h"
+#include "exp/query_context.h"
 #include "exp/report.h"
 #include "runtime/thread_pool.h"
 #include "serve/dispatcher.h"
@@ -144,6 +146,36 @@ TEST(FigureRunnerTest, ColdWhiteBoxRunReportsCacheEntries) {
   EXPECT_EQ(analysis->cache_imported, 0u);
   EXPECT_GT(analysis->cache_entries, 0u);
   EXPECT_LE(analysis->cache_entries, analysis->cache_misses);
+}
+
+TEST(QueryContextTest, NarrowAndWhiteBoxContextsAgreeOnTheInitialPlan) {
+  // The narrow context reads its initial plan through NarrowOptimizer's
+  // EXPLAIN on the oracle's own prepared plan space; the white-box context
+  // reads it through the cache. Both must name the same plan and usage,
+  // and the narrow context's only counted optimizer call is the cache
+  // warm-up probe.
+  for (const int qn : {3, 8}) {
+    for (const storage::LayoutPolicy policy :
+         {storage::LayoutPolicy::kSharedDevice,
+          storage::LayoutPolicy::kPerTableAndIndex,
+          storage::LayoutPolicy::kPerTableColocated}) {
+      const query::Query q = tpch::MakeTpchQuery(Cat(), qn);
+      const std::string what =
+          q.name + " under " + storage::LayoutPolicyName(policy);
+      const Result<std::unique_ptr<QueryContext>> white = QueryContext::Create(
+          Cat(), q, policy, /*white_box=*/true, {}, nullptr);
+      const Result<std::unique_ptr<QueryContext>> narrow = QueryContext::Create(
+          Cat(), q, policy, /*white_box=*/false, {}, nullptr);
+      ASSERT_TRUE(white.ok()) << what;
+      ASSERT_TRUE(narrow.ok()) << what;
+      EXPECT_EQ((*narrow)->initial_plan_id, (*white)->initial_plan_id) << what;
+      EXPECT_EQ((*narrow)->initial_usage, (*white)->initial_usage) << what;
+      EXPECT_EQ((*narrow)->narrow.calls(), 1u) << what;
+      const runtime::OracleCacheStats stats = (*narrow)->stack.cache().stats();
+      EXPECT_EQ(stats.misses, 1u) << what;
+      EXPECT_EQ(stats.hits, 0u) << what;
+    }
+  }
 }
 
 TEST(FigureServeAgreementTest, GtcSeriesRequestMatchesFigureRunner) {

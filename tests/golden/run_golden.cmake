@@ -26,7 +26,8 @@ if(DEFINED THREADS)
   set(ENV{COSTSENSE_THREADS} "${THREADS}")
 endif()
 # Optionally turn the structured sidecar on: it must not perturb stdout,
-# and it must actually get written (checked after the run).
+# and it must actually get written, non-empty, opening with an
+# {"artifact": record (checked after the run).
 if(DEFINED ARTIFACT_JSON)
   get_filename_component(artifact_dir "${ARTIFACT_JSON}" DIRECTORY)
   file(MAKE_DIRECTORY "${artifact_dir}")
@@ -53,8 +54,20 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BINARY} exited with ${rc}:\n${stderr_text}")
 endif()
 
-if(DEFINED ARTIFACT_JSON AND NOT EXISTS "${ARTIFACT_JSON}")
-  message(FATAL_ERROR "sidecar ${ARTIFACT_JSON} was not written")
+if(DEFINED ARTIFACT_JSON)
+  if(NOT EXISTS "${ARTIFACT_JSON}")
+    message(FATAL_ERROR "sidecar ${ARTIFACT_JSON} was not written")
+  endif()
+  # Non-empty, and it opens with an artifact record.
+  file(READ "${ARTIFACT_JSON}" sidecar_head LIMIT 64)
+  if(sidecar_head STREQUAL "")
+    message(FATAL_ERROR "sidecar ${ARTIFACT_JSON} is empty")
+  endif()
+  string(FIND "${sidecar_head}" "{\"artifact\":" artifact_at)
+  if(NOT artifact_at EQUAL 0)
+    message(FATAL_ERROR
+      "sidecar ${ARTIFACT_JSON} does not open with an {\"artifact\": record")
+  endif()
 endif()
 
 if(DEFINED CACHE_PATH)

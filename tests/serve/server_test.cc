@@ -1013,7 +1013,9 @@ TEST(SnapshotterTest, TickOnceWritesFlushedRecordsAndDrivesWatchdog) {
   options.idle_timeout_ns = 1'000'000'000;
   Server server(options);
 
-  engine::JsonWriter writer(path);
+  engine::EngineConfig config;
+  config.artifact_json_path = path;
+  engine::ArtifactWriter writer(config);
   SnapshotterOptions snapshot_options;  // interval 0: Start() is a no-op
   StatsSnapshotter snapshotter(server, writer, snapshot_options);
   snapshotter.Start();

@@ -13,10 +13,10 @@
 #      configuration is broken (e.g. unparseable layers.toml)
 #   5  AddressSanitizer build or its test subset failed
 #   6  ThreadSanitizer build or its test subset failed
-#   7  streaming-sink stage failed: figure stdout moves when the JSON
-#      sidecar is enabled, the sidecar is missing, empty or does not open
-#      with an artifact record, or the protocol fuzz smoke found a
-#      violation
+#   7  protocol fuzz smoke (seed 7) found a violation. The sidecar
+#      checks (stdout unmoved by the JSON sidecar; sidecar present,
+#      non-empty and opening with an {"artifact": record) live in the
+#      golden_fig5_with_sidecar ctest entry, so stage 3 runs them
 #   8  optimizer stage failed: micro_optimizer exited nonzero. The stage
 #      only reports (us per query preparation, us per DP call, join
 #      candidates priced/built/kept per call); it never gates on timing,
@@ -54,30 +54,7 @@ stage "lint gate (--format json)"
   --root "$ROOT/tests" \
   --root "$ROOT/tools" || exit 4
 
-stage "streaming sinks (sidecar leaves stdout alone + protocol fuzz smoke)"
-STREAM_TMP="$(mktemp -d)"
-trap 'rm -rf "$STREAM_TMP"' EXIT
-env COSTSENSE_QUICK=1 "$ROOT/build/bench/fig5_shared_device" \
-  >"$STREAM_TMP/plain.out" 2>/dev/null || exit 7
-env COSTSENSE_QUICK=1 COSTSENSE_ARTIFACT_JSON="$STREAM_TMP/sidecar.jsonl" \
-  "$ROOT/build/bench/fig5_shared_device" \
-  >"$STREAM_TMP/sidecar.out" 2>/dev/null || exit 7
-if ! cmp -s "$STREAM_TMP/plain.out" "$STREAM_TMP/sidecar.out"; then
-  echo "costsense-ci: figure stdout differs when the JSON sidecar is on" >&2
-  exit 7
-fi
-if [ ! -s "$STREAM_TMP/sidecar.jsonl" ]; then
-  echo "costsense-ci: artifact sidecar missing or empty" >&2
-  exit 7
-fi
-case "$(head -n 1 "$STREAM_TMP/sidecar.jsonl")" in
-  '{"artifact":'*) ;;
-  *)
-    echo "costsense-ci: artifact sidecar does not open with an" \
-         '{"artifact": record' >&2
-    exit 7
-    ;;
-esac
+stage "protocol fuzz smoke (seed 7)"
 "$ROOT/build/tools/fuzz/protocol_fuzz" seed=7 iters=1500 \
   deadline_ms=120000 >/dev/null || exit 7
 
