@@ -1,9 +1,10 @@
 // Micro-benchmarks of the optimizer itself: the cost-independent
 // preparation of one TPC-H query's plan space, then one dynamic-programming
 // optimization per call over it (prepared once, as NarrowOptimizer does),
-// with the DP's join candidates priced, built and kept per call, plus the
-// ablation the paper's setup implies (bushy vs left-deep enumeration —
-// DB2's optimization level 7 considers bushy trees, Section 7.1).
+// with the DP's join candidates priced, charged, built and kept per call,
+// plus the ablation the paper's setup implies (bushy vs left-deep
+// enumeration — DB2's optimization level 7 considers bushy trees, Section
+// 7.1).
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -59,6 +60,7 @@ void BM_OptimizeTpch(benchmark::State& state) {
     const auto r = enumerator.BestPlan(box.SampleLogUniform(rng));
     benchmark::DoNotOptimize((*r)->usage);
     dp.priced += enumerator.counters().priced;
+    dp.charged += enumerator.counters().charged;
     dp.built += enumerator.counters().built;
     dp.kept += enumerator.counters().kept;
   }
@@ -67,6 +69,7 @@ void BM_OptimizeTpch(benchmark::State& state) {
                               benchmark::Counter::kAvgIterations);
   };
   state.counters["priced"] = per_call(dp.priced);
+  state.counters["charged"] = per_call(dp.charged);
   state.counters["built"] = per_call(dp.built);
   state.counters["kept"] = per_call(dp.kept);
   state.SetLabel("tables=" + std::to_string(q.num_tables()));

@@ -20,7 +20,56 @@ double SargableSelectivityOn(const query::TableRef& ref, size_t column) {
   return 1.0;
 }
 
+/// Charges a formula's work into a usage vector (the charge functions).
+class UsageAccumulator {
+ public:
+  UsageAccumulator(const storage::ResourceSpace& space,
+                   core::UsageVector& usage)
+      : space_(space), usage_(usage) {}
+
+  void Io(int device, double seeks, double pages) {
+    space_.ChargeIo(usage_, device, seeks, pages);
+  }
+  void Cpu(double instructions) { space_.ChargeCpu(usage_, instructions); }
+  void Rescan(const CostModel::Input& input, double times) {
+    for (size_t i = 0; i < usage_.size(); ++i) {
+      usage_[i] += input.usage[i] * times;
+    }
+  }
+
+ private:
+  const storage::ResourceSpace& space_;
+  core::UsageVector& usage_;
+};
+
+/// Sums a formula's work priced at per-unit costs (the price functions).
+class PriceAccumulator {
+ public:
+  explicit PriceAccumulator(const CostModel::UnitPrices& prices)
+      : prices_(prices) {}
+
+  void Io(int device, double seeks, double pages) {
+    total_ += seeks * prices_.seek[device] + pages * prices_.page[device];
+  }
+  void Cpu(double instructions) { total_ += instructions * prices_.cpu; }
+  void Rescan(const CostModel::Priced& input, double times) {
+    total_ += input.cost * times;
+  }
+  double total() const { return total_; }
+
+ private:
+  const CostModel::UnitPrices& prices_;
+  double total_ = 0.0;
+};
+
 }  // namespace
+
+CostModel::Priced::Priced(const PlanNode& node, double total_cost)
+    : cost(total_cost),
+      rows(node.output_rows),
+      pages(node.output_pages),
+      base_access(node.op == OpType::kSeqScan ||
+                  node.op == OpType::kIndexScan) {}
 
 CostModel::CostModel(const catalog::Catalog& catalog,
                      const storage::StorageLayout& layout,
@@ -49,6 +98,37 @@ double CostModel::PagesFor(double rows, double width_bytes) const {
   if (rows <= 0.0) return 0.0;
   return std::max(1.0, std::ceil(rows * width_bytes /
                                  (config_.page_size_bytes * 0.9)));
+}
+
+CostModel::UnitPrices CostModel::Prices(const core::CostVector& costs) const {
+  UnitPrices prices;
+  const size_t devices = space_.devices().size();
+  prices.seek.resize(devices);
+  prices.page.resize(devices);
+  core::UsageVector unit = space_.ZeroUsage();
+  const auto price = [&](auto charge) {
+    for (size_t i = 0; i < unit.size(); ++i) unit[i] = 0.0;
+    charge();
+    return core::TotalCost(unit, costs);
+  };
+  for (size_t d = 0; d < devices; ++d) {
+    const int device = static_cast<int>(d);
+    prices.seek[d] = price([&] { space_.ChargeIo(unit, device, 1.0, 0.0); });
+    prices.page[d] = price([&] { space_.ChargeIo(unit, device, 0.0, 1.0); });
+  }
+  prices.cpu = price([&] { space_.ChargeCpu(unit, 1.0); });
+  return prices;
+}
+
+double CostModel::JoinOutputInstructions(const JoinProps& props) const {
+  return props.output_rows *
+         (config_.cpu_join_output_instructions +
+          props.residual_edges * config_.cpu_predicate_instructions);
+}
+
+double CostModel::PriceJoinOutput(const JoinProps& props,
+                                  const UnitPrices& prices) const {
+  return JoinOutputInstructions(props) * prices.cpu;
 }
 
 std::vector<size_t> CostModel::UsedColumns(size_t ref) const {
@@ -179,12 +259,11 @@ PlanNodePtr CostModel::IndexScan(size_t ref, int index_id,
   return node;
 }
 
-void CostModel::ChargeSort(const Input& child,
-                           core::UsageVector& usage) const {
-  usage = child.usage;
+template <typename In, typename Acc>
+void CostModel::SortFormula(const In& child, Acc& acc) const {
   if (child.rows <= 1.0) return;
   const double compares = child.rows * std::log2(std::max(2.0, child.rows));
-  space_.ChargeCpu(usage, compares * config_.cpu_sort_compare_instructions);
+  acc.Cpu(compares * config_.cpu_sort_compare_instructions);
   if (child.pages <= config_.sort_heap_pages) return;  // in-memory sort
 
   // External sort: run generation writes all pages to temp and each merge
@@ -193,9 +272,22 @@ void CostModel::ChargeSort(const Input& child,
   const int passes = static_cast<int>(std::max(
       1.0, std::ceil(std::log(runs) / std::log(config_.merge_fan_in))));
   const double total_pages = 2.0 * child.pages * passes;  // write + read
-  space_.ChargeIo(usage, layout_.TempDevice(),
-                  std::max(1.0, total_pages / config_.prefetch_pages),
-                  total_pages);
+  acc.Io(layout_.TempDevice(),
+         std::max(1.0, total_pages / config_.prefetch_pages), total_pages);
+}
+
+void CostModel::ChargeSort(const Input& child,
+                           core::UsageVector& usage) const {
+  usage = child.usage;
+  UsageAccumulator acc(space_, usage);
+  SortFormula(child, acc);
+}
+
+double CostModel::PriceSortOwn(const Priced& child,
+                               const UnitPrices& prices) const {
+  PriceAccumulator acc(prices);
+  SortFormula(child, acc);
+  return acc.total();
 }
 
 CostModel::Input CostModel::SortedInput(
@@ -239,28 +331,38 @@ std::shared_ptr<PlanNode> CostModel::NewJoin(OpType op, PlanNodePtr left,
   return node;
 }
 
-void CostModel::ChargeHashJoin(const Input& left, const Input& right,
-                               const JoinProps& props,
-                               core::UsageVector& usage) const {
-  usage = left.usage;
-  usage += right.usage;
+template <typename In, typename Acc>
+void CostModel::HashJoinFormula(const In& left, const In& right,
+                                const JoinProps& props, Acc& acc) const {
   const double memory =
       config_.buffer_pool_pages * config_.hash_build_memory_fraction;
   if (right.pages > memory) {
     // Hybrid hash: partition both inputs to temp and read them back.
     const double spill = 2.0 * (left.pages + right.pages);
-    space_.ChargeIo(usage, layout_.TempDevice(),
-                    std::max(1.0, spill / config_.prefetch_pages), spill);
-    space_.ChargeCpu(usage,
-                     (left.rows + right.rows) * config_.cpu_tuple_instructions);
+    acc.Io(layout_.TempDevice(), std::max(1.0, spill / config_.prefetch_pages),
+           spill);
+    acc.Cpu((left.rows + right.rows) * config_.cpu_tuple_instructions);
   }
-  space_.ChargeCpu(usage,
-                   right.rows * config_.cpu_hash_build_instructions +
-                       left.rows * config_.cpu_hash_probe_instructions +
-                       props.output_rows *
-                           (config_.cpu_join_output_instructions +
-                            props.residual_edges *
-                                config_.cpu_predicate_instructions));
+  acc.Cpu(right.rows * config_.cpu_hash_build_instructions +
+          left.rows * config_.cpu_hash_probe_instructions +
+          JoinOutputInstructions(props));
+}
+
+void CostModel::ChargeHashJoin(const Input& left, const Input& right,
+                               const JoinProps& props,
+                               core::UsageVector& usage) const {
+  usage = left.usage;
+  usage += right.usage;
+  UsageAccumulator acc(space_, usage);
+  HashJoinFormula(left, right, props, acc);
+}
+
+double CostModel::PriceHashJoinOwn(const Priced& left, const Priced& right,
+                                   const JoinProps& props,
+                                   const UnitPrices& prices) const {
+  PriceAccumulator acc(prices);
+  HashJoinFormula(left, right, props, acc);
+  return acc.total();
 }
 
 PlanNodePtr CostModel::HashJoin(PlanNodePtr left, PlanNodePtr right,
@@ -273,18 +375,29 @@ PlanNodePtr CostModel::HashJoin(PlanNodePtr left, PlanNodePtr right,
   return node;
 }
 
+template <typename In, typename Acc>
+void CostModel::SortMergeJoinFormula(const In& left, const In& right,
+                                     const JoinProps& props, Acc& acc) const {
+  acc.Cpu((left.rows + right.rows) * config_.cpu_sort_compare_instructions +
+          JoinOutputInstructions(props));
+}
+
 void CostModel::ChargeSortMergeJoin(const Input& left, const Input& right,
                                     const JoinProps& props,
                                     core::UsageVector& usage) const {
   usage = left.usage;
   usage += right.usage;
-  space_.ChargeCpu(usage,
-                   (left.rows + right.rows) *
-                           config_.cpu_sort_compare_instructions +
-                       props.output_rows *
-                           (config_.cpu_join_output_instructions +
-                            props.residual_edges *
-                                config_.cpu_predicate_instructions));
+  UsageAccumulator acc(space_, usage);
+  SortMergeJoinFormula(left, right, props, acc);
+}
+
+double CostModel::PriceSortMergeJoinOwn(const Priced& left,
+                                        const Priced& right,
+                                        const JoinProps& props,
+                                        const UnitPrices& prices) const {
+  PriceAccumulator acc(prices);
+  SortMergeJoinFormula(left, right, props, acc);
+  return acc.total();
 }
 
 PlanNodePtr CostModel::SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
@@ -304,10 +417,10 @@ PlanNodePtr CostModel::SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
   return node;
 }
 
-void CostModel::ChargeIndexNLJoin(const Input& left, size_t right_ref,
-                                  int index_id, bool index_only,
-                                  const JoinProps& props,
-                                  core::UsageVector& usage) const {
+template <typename In, typename Acc>
+void CostModel::IndexNLJoinFormula(const In& left, size_t right_ref,
+                                   int index_id, bool index_only,
+                                   const JoinProps& props, Acc& acc) const {
   COSTSENSE_CHECK(props.edge >= 0);
   const query::TableRef& tref = query_.refs[right_ref];
   const catalog::Table& table = catalog_.table(tref.table_id);
@@ -327,26 +440,40 @@ void CostModel::ChargeIndexNLJoin(const Input& left, size_t right_ref,
   const double fetched_rows =
       probes * table.row_count() * EdgeSelectivity(props.edge);
 
-  usage = left.usage;
   const int index_device = layout_.IndexDevice(tref.table_id);
   // Each probe descends to one leaf; upper levels are assumed cached after
   // the first probe, leaving one random leaf access per probe.
-  space_.ChargeIo(usage, index_device, probes, probes);
+  acc.Io(index_device, probes, probes);
   if (!index_only) {
     const int data_device = layout_.DataDevice(tref.table_id);
     const double pages = catalog::ExpectedPagesFetched(
         fetched_rows, table.row_count(), table.pages());
-    space_.ChargeIo(usage, data_device, pages, pages);
+    acc.Io(data_device, pages, pages);
   }
   const double preds = static_cast<double>(tref.restrictions.size());
-  space_.ChargeCpu(
-      usage, probes * config_.cpu_probe_instructions +
-                 fetched_rows * (config_.cpu_tuple_instructions +
-                                 std::max(1.0, preds) *
-                                     config_.cpu_predicate_instructions) +
-                 props.output_rows * (config_.cpu_join_output_instructions +
-                                      props.residual_edges *
-                                          config_.cpu_predicate_instructions));
+  acc.Cpu(probes * config_.cpu_probe_instructions +
+          fetched_rows * (config_.cpu_tuple_instructions +
+                          std::max(1.0, preds) *
+                              config_.cpu_predicate_instructions) +
+          JoinOutputInstructions(props));
+}
+
+void CostModel::ChargeIndexNLJoin(const Input& left, size_t right_ref,
+                                  int index_id, bool index_only,
+                                  const JoinProps& props,
+                                  core::UsageVector& usage) const {
+  usage = left.usage;
+  UsageAccumulator acc(space_, usage);
+  IndexNLJoinFormula(left, right_ref, index_id, index_only, props, acc);
+}
+
+double CostModel::PriceIndexNLJoinOwn(const Priced& left, size_t right_ref,
+                                      int index_id, bool index_only,
+                                      const JoinProps& props,
+                                      const UnitPrices& prices) const {
+  PriceAccumulator acc(prices);
+  IndexNLJoinFormula(left, right_ref, index_id, index_only, props, acc);
+  return acc.total();
 }
 
 PlanNodePtr CostModel::ProbeLeaf(size_t ref, int index_id,
@@ -385,32 +512,41 @@ PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, PlanNodePtr probe,
   return node;
 }
 
-void CostModel::ChargeBlockNLJoin(const Input& left, const Input& right,
-                                  const JoinProps& props,
-                                  core::UsageVector& usage) const {
-  usage = left.usage;
-  usage += right.usage;
+template <typename In, typename Acc>
+void CostModel::BlockNLJoinFormula(const In& left, const In& right,
+                                   const JoinProps& props, Acc& acc) const {
   const double block_pages = std::max(1.0, config_.sort_heap_pages);
   const double blocks = std::max(1.0, std::ceil(left.pages / block_pages));
 
   if (right.base_access) {
     // Rescan the base access path (blocks - 1) extra times.
-    for (size_t i = 0; i < usage.size(); ++i) {
-      usage[i] += right.usage[i] * (blocks - 1.0);
-    }
+    acc.Rescan(right, blocks - 1.0);
   } else {
     // Materialize the inner once to temp, then scan it per block.
     const double mat = right.pages;
     const double total = mat + blocks * mat;
-    space_.ChargeIo(usage, layout_.TempDevice(),
-                    std::max(1.0, total / config_.prefetch_pages), total);
+    acc.Io(layout_.TempDevice(), std::max(1.0, total / config_.prefetch_pages),
+           total);
   }
-  space_.ChargeCpu(usage,
-                   left.rows * right.rows * config_.cpu_predicate_instructions +
-                       props.output_rows *
-                           (config_.cpu_join_output_instructions +
-                            props.residual_edges *
-                                config_.cpu_predicate_instructions));
+  acc.Cpu(left.rows * right.rows * config_.cpu_predicate_instructions +
+          JoinOutputInstructions(props));
+}
+
+void CostModel::ChargeBlockNLJoin(const Input& left, const Input& right,
+                                  const JoinProps& props,
+                                  core::UsageVector& usage) const {
+  usage = left.usage;
+  usage += right.usage;
+  UsageAccumulator acc(space_, usage);
+  BlockNLJoinFormula(left, right, props, acc);
+}
+
+double CostModel::PriceBlockNLJoinOwn(const Priced& left, const Priced& right,
+                                      const JoinProps& props,
+                                      const UnitPrices& prices) const {
+  PriceAccumulator acc(prices);
+  BlockNLJoinFormula(left, right, props, acc);
+  return acc.total();
 }
 
 PlanNodePtr CostModel::BlockNLJoin(PlanNodePtr left, PlanNodePtr right,

@@ -8,6 +8,8 @@
 
 #include <cmath>
 
+#include "common/rng.h"
+#include "core/feasible_region.h"
 #include "query/builder.h"
 
 namespace costsense::opt {
@@ -342,6 +344,91 @@ TEST(CostModelTest, SortMergeJoinChargeEqualsNodeUsage) {
         0, rig.cat.FindIndexByLeadingColumn(0, 0), false);
     ASSERT_FALSE(ordered->order.empty());
     check(rig.model, ordered, rig.model.SeqScan(1));
+  }
+}
+
+TEST(CostModelTest, PriceFunctionsMatchChargedCosts) {
+  // The enumerator rejects join candidates on their inputs' costs plus an
+  // own price, so each price function must agree with its charge
+  // function: inputs' costs plus own price equal the charged usage priced
+  // at C, to 1e-12 relative, and no join prices below the join-output
+  // CPU. Random inputs and cost vectors under both granularities reach
+  // every branch: hash spills, external sorts, rescanned and materialized
+  // inners, plain and index-only probes.
+  catalog::SystemConfig config;
+  config.sort_heap_pages = 10.0;
+  config.buffer_pool_pages = 40.0;
+  const auto check = [](const CostModel& m,
+                        const storage::ResourceSpace& space,
+                        const catalog::Catalog& cat) {
+    const int small_id = cat.FindIndexByLeadingColumn(1, 0);
+    ASSERT_GE(small_id, 0);
+    Rng rng(5);
+    const core::Box box =
+        core::Box::MultiplicativeBand(space.BaselineCosts(), 1e4);
+    const auto random_input = [&rng, &space](bool base_access) {
+      PlanNode n;
+      n.op = base_access ? OpType::kSeqScan : OpType::kHashJoin;
+      n.output_rows = rng.LogUniform(0.5, 1e7);
+      n.output_pages = rng.LogUniform(1.0, 1e5);
+      n.usage = space.ZeroUsage();
+      for (size_t i = 0; i < n.usage.size(); ++i) {
+        n.usage[i] = rng.LogUniform(1e-3, 1e9);
+      }
+      return n;
+    };
+    core::UsageVector usage;
+    for (int trial = 0; trial < 200; ++trial) {
+      const core::CostVector c = box.SampleLogUniform(rng);
+      const CostModel::UnitPrices prices = m.Prices(c);
+      const PlanNode l = random_input(rng.Uniform() < 0.5);
+      const PlanNode r = random_input(rng.Uniform() < 0.5);
+      const CostModel::Priced lp(l, core::TotalCost(l.usage, c));
+      const CostModel::Priced rp(r, core::TotalCost(r.usage, c));
+      const CostModel::JoinProps props{rng.LogUniform(0.5, 1e8), 100.0, 0,
+                                       static_cast<int>(rng.Index(3))};
+      const double output = m.PriceJoinOutput(props, prices);
+      const auto expect = [&](double inputs, double own, bool join,
+                              const char* what) {
+        const double exact = core::TotalCost(usage, c);
+        EXPECT_NEAR(inputs + own, exact, 1e-12 * exact)
+            << what << " at trial " << trial;
+        if (join) {
+          EXPECT_LE(output, own) << what << " at trial " << trial;
+        }
+      };
+      m.ChargeHashJoin(l, r, props, usage);
+      expect(lp.cost + rp.cost, m.PriceHashJoinOwn(lp, rp, props, prices),
+             true, "hash join");
+      m.ChargeSortMergeJoin(l, r, props, usage);
+      expect(lp.cost + rp.cost,
+             m.PriceSortMergeJoinOwn(lp, rp, props, prices), true,
+             "sort-merge join");
+      m.ChargeBlockNLJoin(l, r, props, usage);
+      expect(lp.cost + rp.cost, m.PriceBlockNLJoinOwn(lp, rp, props, prices),
+             true, "block nested-loops join");
+      for (const bool index_only : {false, true}) {
+        m.ChargeIndexNLJoin(l, 1, small_id, index_only, props, usage);
+        expect(lp.cost,
+               m.PriceIndexNLJoinOwn(lp, 1, small_id, index_only, props,
+                                     prices),
+               true, "index nested-loops join");
+      }
+      m.ChargeSort(l, usage);
+      expect(lp.cost, m.PriceSortOwn(lp, prices), false, "sort");
+    }
+  };
+  {
+    catalog::Catalog cat = MakeCatalog(config);
+    Query q = JoinQuery(cat);
+    SplitRig rig(std::move(cat), std::move(q));
+    check(rig.model, rig.space, rig.cat);
+  }
+  {
+    catalog::Catalog cat = MakeCatalog(config);
+    Query q = JoinQuery(cat);
+    TiedRig rig(std::move(cat), std::move(q));
+    check(rig.model, rig.space, rig.cat);
   }
 }
 

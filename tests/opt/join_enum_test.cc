@@ -274,12 +274,14 @@ TEST(JoinEnumTest, NeverBeatenByHandEnumeratedMenu) {
 }
 
 TEST(JoinEnumTest, PricesCandidatesBeforeBuildingThem) {
-  // The DP prices every join candidate in scratch space, offers it to the
-  // subset's frontier, and builds a plan node only for the frontier's
-  // survivors. On the paper's 8-table Q8 most candidates are dominated or
-  // evicted, so every node built is kept; building a candidate before a
-  // later one in the same subset evicts it would fail this. The priced
-  // count is pinned, so a change in which candidates are priced shows.
+  // The DP prices every join candidate as a scalar, charges a usage
+  // vector only for those the subset's frontier could keep, and builds a
+  // plan node only for the frontier's survivors. On the paper's 8-table
+  // Q8 most candidates are dominated or evicted, so about one in sixteen
+  // is charged and every node built is kept; building a candidate before
+  // a later one in the same subset evicts it would fail this. The priced
+  // and charged counts are pinned, so a change in which candidates are
+  // considered or rejected early shows.
   const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
   const Query q = tpch::MakeTpchQuery(cat, 8);
   const StorageLayout layout(LayoutPolicy::kPerTableAndIndex, cat,
@@ -292,6 +294,7 @@ TEST(JoinEnumTest, PricesCandidatesBeforeBuildingThem) {
   const JoinEnumerator::Counters& c = e.counters();
   EXPECT_GT(c.priced, 1000u);
   EXPECT_EQ(c.priced, 15020u);
+  EXPECT_EQ(c.charged, 974u);
   EXPECT_EQ(c.built, c.kept);
   EXPECT_GT(c.kept, 0u);
 }

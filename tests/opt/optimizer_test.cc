@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/feasible_region.h"
 #include "opt/explain.h"
 #include "opt/join_enum.h"
@@ -343,8 +344,10 @@ TEST(OptimizerTest, WinnersCostsAndCandidateCountsArePinned) {
   // Q3, Q5, Q8 and Q9 under every layout at the baseline, four vertices of
   // the delta=100 band (all low, all high, and the two alternating masks)
   // and two seeded log-uniform points: the winner's id, its total cost bit
-  // for bit, and the DP's priced and kept join candidates per call. Any
-  // change to the enumeration's candidates, pruning or ties shows here.
+  // for bit, and the DP's priced, charged and kept join candidates per
+  // call. Any change to the enumeration's candidates, pruning or ties
+  // shows here; `charged` (usage vectors computed) pins the bound-first
+  // rejections, the rest were recorded before them.
   constexpr LayoutPolicy kShared = LayoutPolicy::kSharedDevice;
   constexpr LayoutPolicy kPerTableAndIndex = LayoutPolicy::kPerTableAndIndex;
   constexpr LayoutPolicy kColocated = LayoutPolicy::kPerTableColocated;
@@ -401,93 +404,94 @@ TEST(OptimizerTest, WinnersCostsAndCandidateCountsArePinned) {
     size_t id;
     double total_cost;
     size_t priced;
+    size_t charged;
     size_t kept;
   };
   static const Pin kPins[] = {
-      {3, kShared, 0, 0, 0x1.11067988c4bdfp+28, 306, 17},
-      {3, kShared, 1, 0, 0x1.5d78ed7bdd1c1p+21, 306, 17},
-      {3, kShared, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 17},
-      {3, kShared, 3, 0, 0x1.0c72184f72508p+31, 306, 17},
-      {3, kShared, 4, 0, 0x1.8916c6a330fdap+34, 306, 17},
-      {3, kShared, 5, 0, 0x1.87dc2d4891ab4p+30, 306, 17},
-      {3, kShared, 6, 0, 0x1.576a6bb067216p+31, 306, 17},
-      {3, kPerTableAndIndex, 0, 0, 0x1.11067988c4bep+28, 306, 17},
-      {3, kPerTableAndIndex, 1, 0, 0x1.5d78ed7bdd1c2p+21, 306, 17},
-      {3, kPerTableAndIndex, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 17},
-      {3, kPerTableAndIndex, 3, 1, 0x1.9fcd747d32bd1p+34, 306, 17},
-      {3, kPerTableAndIndex, 4, 0, 0x1.54ac4b2b691d2p+25, 306, 17},
-      {3, kPerTableAndIndex, 5, 0, 0x1.ef3d8b2e07c13p+31, 306, 17},
-      {3, kPerTableAndIndex, 6, 0, 0x1.bbcd2bc045c3cp+26, 306, 17},
-      {3, kColocated, 0, 0, 0x1.11067988c4bep+28, 306, 17},
-      {3, kColocated, 1, 0, 0x1.5d78ed7bdd1c2p+21, 306, 17},
-      {3, kColocated, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 17},
-      {3, kColocated, 3, 2, 0x1.4d729fdec31bep+34, 274, 17},
-      {3, kColocated, 4, 1, 0x1.4bdbf1b9839c1p+32, 306, 17},
-      {3, kColocated, 5, 0, 0x1.9d8bff771e3f9p+33, 306, 17},
-      {3, kColocated, 6, 0, 0x1.1124d17aeef66p+33, 306, 17},
-      {5, kShared, 0, 3, 0x1.016eb5e69897dp+28, 9476, 139},
-      {5, kShared, 1, 3, 0x1.498378316728bp+21, 9476, 139},
-      {5, kShared, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 139},
-      {5, kShared, 3, 3, 0x1.faf5f108dc967p+30, 9476, 139},
-      {5, kShared, 4, 4, 0x1.7296c9b1f2329p+34, 9476, 139},
-      {5, kShared, 5, 3, 0x1.71e2f15879f73p+30, 9476, 139},
-      {5, kShared, 6, 3, 0x1.43fe90a092a32p+31, 9476, 139},
-      {5, kPerTableAndIndex, 0, 3, 0x1.016eb5e69897fp+28, 9476, 139},
-      {5, kPerTableAndIndex, 1, 3, 0x1.498378316728cp+21, 9476, 139},
-      {5, kPerTableAndIndex, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 139},
-      {5, kPerTableAndIndex, 3, 3, 0x1.919a006570991p+34, 9476, 139},
-      {5, kPerTableAndIndex, 4, 4, 0x1.5a672b8a7d49p+25, 9476, 139},
-      {5, kPerTableAndIndex, 5, 3, 0x1.b2af7377a2cd4p+31, 9476, 139},
-      {5, kPerTableAndIndex, 6, 3, 0x1.65f676ec19cb1p+33, 9476, 139},
-      {5, kColocated, 0, 3, 0x1.016eb5e69897fp+28, 9476, 139},
-      {5, kColocated, 1, 3, 0x1.498378316728cp+21, 9476, 139},
-      {5, kColocated, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 139},
-      {5, kColocated, 3, 3, 0x1.4ce0c765fe323p+34, 9476, 139},
-      {5, kColocated, 4, 5, 0x1.1444c32cf296fp+32, 9476, 139},
-      {5, kColocated, 5, 3, 0x1.79caaaadde31p+33, 9476, 139},
-      {5, kColocated, 6, 3, 0x1.cc1912e8f94a7p+27, 9476, 139},
-      {8, kShared, 0, 6, 0x1.633be8617354fp+27, 15020, 211},
-      {8, kShared, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 211},
-      {8, kShared, 2, 6, 0x1.1586cd8c221a6p+34, 15020, 211},
-      {8, kShared, 3, 7, 0x1.0487b117d8cf3p+31, 15020, 211},
-      {8, kShared, 4, 8, 0x1.0c29de9bfd68ep+33, 15020, 211},
-      {8, kShared, 5, 6, 0x1.bf00b61c234fap+29, 15020, 211},
-      {8, kShared, 6, 7, 0x1.4d34bde792a29p+31, 15020, 211},
-      {8, kPerTableAndIndex, 0, 6, 0x1.633be8617354ep+27, 15020, 211},
-      {8, kPerTableAndIndex, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 211},
-      {8, kPerTableAndIndex, 2, 6, 0x1.1586cd8c221a7p+34, 15020, 211},
-      {8, kPerTableAndIndex, 3, 6, 0x1.0ed235cec7855p+34, 15020, 211},
-      {8, kPerTableAndIndex, 4, 9, 0x1.4e536bfa0265bp+25, 15020, 211},
-      {8, kPerTableAndIndex, 5, 6, 0x1.01cc78f638e71p+33, 15020, 211},
-      {8, kPerTableAndIndex, 6, 6, 0x1.920a94272ebdfp+32, 15020, 211},
-      {8, kColocated, 0, 6, 0x1.633be8617354ep+27, 15020, 211},
-      {8, kColocated, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 211},
-      {8, kColocated, 2, 6, 0x1.1586cd8c221a7p+34, 15020, 211},
-      {8, kColocated, 3, 10, 0x1.63a338f7eb19ap+30, 14730, 211},
-      {8, kColocated, 4, 6, 0x1.fe83f8d6c8a2p+33, 15020, 211},
-      {8, kColocated, 5, 6, 0x1.f4db83e53d9dap+31, 15020, 211},
-      {8, kColocated, 6, 6, 0x1.41387aeee28e3p+26, 15020, 211},
-      {9, kShared, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 142},
-      {9, kShared, 1, 11, 0x1.529bc37047a3p+21, 5949, 142},
-      {9, kShared, 2, 11, 0x1.9d5724128f727p+34, 5949, 142},
-      {9, kShared, 3, 11, 0x1.04bb74da54ba7p+31, 5949, 142},
-      {9, kShared, 4, 12, 0x1.4e4704019f0a5p+34, 5949, 142},
-      {9, kShared, 5, 11, 0x1.7c413a5da45e1p+30, 5949, 142},
-      {9, kShared, 6, 11, 0x1.4d16e95a47debp+31, 5949, 142},
-      {9, kPerTableAndIndex, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 142},
-      {9, kPerTableAndIndex, 1, 11, 0x1.529bc37047a3p+21, 5949, 142},
-      {9, kPerTableAndIndex, 2, 11, 0x1.9d5724128f726p+34, 5949, 142},
-      {9, kPerTableAndIndex, 3, 11, 0x1.96285a00f2356p+34, 5949, 142},
-      {9, kPerTableAndIndex, 4, 13, 0x1.5ed15f1beffabp+25, 6370, 142},
-      {9, kPerTableAndIndex, 5, 14, 0x1.8fa39537d2188p+33, 5949, 142},
-      {9, kPerTableAndIndex, 6, 15, 0x1.70199a41da737p+30, 5867, 141},
-      {9, kColocated, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 142},
-      {9, kColocated, 1, 11, 0x1.529bc37047a3p+21, 5949, 142},
-      {9, kColocated, 2, 11, 0x1.9d5724128f727p+34, 5949, 142},
-      {9, kColocated, 3, 16, 0x1.82bee93279566p+24, 5949, 142},
-      {9, kColocated, 4, 14, 0x1.7627110a3634bp+34, 5949, 142},
-      {9, kColocated, 5, 11, 0x1.10193bc3982fdp+32, 5949, 142},
-      {9, kColocated, 6, 14, 0x1.7906b1e59bbe9p+31, 5949, 142},
+      {3, kShared, 0, 0, 0x1.11067988c4bdfp+28, 306, 42, 17},
+      {3, kShared, 1, 0, 0x1.5d78ed7bdd1c1p+21, 306, 42, 17},
+      {3, kShared, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 42, 17},
+      {3, kShared, 3, 0, 0x1.0c72184f72508p+31, 306, 42, 17},
+      {3, kShared, 4, 0, 0x1.8916c6a330fdap+34, 306, 46, 17},
+      {3, kShared, 5, 0, 0x1.87dc2d4891ab4p+30, 306, 42, 17},
+      {3, kShared, 6, 0, 0x1.576a6bb067216p+31, 306, 42, 17},
+      {3, kPerTableAndIndex, 0, 0, 0x1.11067988c4bep+28, 306, 42, 17},
+      {3, kPerTableAndIndex, 1, 0, 0x1.5d78ed7bdd1c2p+21, 306, 42, 17},
+      {3, kPerTableAndIndex, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 42, 17},
+      {3, kPerTableAndIndex, 3, 1, 0x1.9fcd747d32bd1p+34, 306, 40, 17},
+      {3, kPerTableAndIndex, 4, 0, 0x1.54ac4b2b691d2p+25, 306, 36, 17},
+      {3, kPerTableAndIndex, 5, 0, 0x1.ef3d8b2e07c13p+31, 306, 33, 17},
+      {3, kPerTableAndIndex, 6, 0, 0x1.bbcd2bc045c3cp+26, 306, 42, 17},
+      {3, kColocated, 0, 0, 0x1.11067988c4bep+28, 306, 42, 17},
+      {3, kColocated, 1, 0, 0x1.5d78ed7bdd1c2p+21, 306, 42, 17},
+      {3, kColocated, 2, 0, 0x1.aa9a1de5b368cp+34, 306, 42, 17},
+      {3, kColocated, 3, 2, 0x1.4d729fdec31bep+34, 274, 47, 17},
+      {3, kColocated, 4, 1, 0x1.4bdbf1b9839c1p+32, 306, 37, 17},
+      {3, kColocated, 5, 0, 0x1.9d8bff771e3f9p+33, 306, 42, 17},
+      {3, kColocated, 6, 0, 0x1.1124d17aeef66p+33, 306, 35, 17},
+      {5, kShared, 0, 3, 0x1.016eb5e69897dp+28, 9476, 535, 139},
+      {5, kShared, 1, 3, 0x1.498378316728bp+21, 9476, 535, 139},
+      {5, kShared, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 535, 139},
+      {5, kShared, 3, 3, 0x1.faf5f108dc967p+30, 9476, 534, 139},
+      {5, kShared, 4, 4, 0x1.7296c9b1f2329p+34, 9476, 543, 139},
+      {5, kShared, 5, 3, 0x1.71e2f15879f73p+30, 9476, 523, 139},
+      {5, kShared, 6, 3, 0x1.43fe90a092a32p+31, 9476, 532, 139},
+      {5, kPerTableAndIndex, 0, 3, 0x1.016eb5e69897fp+28, 9476, 535, 139},
+      {5, kPerTableAndIndex, 1, 3, 0x1.498378316728cp+21, 9476, 535, 139},
+      {5, kPerTableAndIndex, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 535, 139},
+      {5, kPerTableAndIndex, 3, 3, 0x1.919a006570991p+34, 9476, 601, 139},
+      {5, kPerTableAndIndex, 4, 4, 0x1.5a672b8a7d49p+25, 9476, 552, 139},
+      {5, kPerTableAndIndex, 5, 3, 0x1.b2af7377a2cd4p+31, 9476, 528, 139},
+      {5, kPerTableAndIndex, 6, 3, 0x1.65f676ec19cb1p+33, 9476, 563, 139},
+      {5, kColocated, 0, 3, 0x1.016eb5e69897fp+28, 9476, 535, 139},
+      {5, kColocated, 1, 3, 0x1.498378316728cp+21, 9476, 535, 139},
+      {5, kColocated, 2, 3, 0x1.923cfc384e6d4p+34, 9476, 535, 139},
+      {5, kColocated, 3, 3, 0x1.4ce0c765fe323p+34, 9476, 569, 139},
+      {5, kColocated, 4, 5, 0x1.1444c32cf296fp+32, 9476, 540, 139},
+      {5, kColocated, 5, 3, 0x1.79caaaadde31p+33, 9476, 515, 139},
+      {5, kColocated, 6, 3, 0x1.cc1912e8f94a7p+27, 9476, 537, 139},
+      {8, kShared, 0, 6, 0x1.633be8617354fp+27, 15020, 974, 211},
+      {8, kShared, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 974, 211},
+      {8, kShared, 2, 6, 0x1.1586cd8c221a6p+34, 15020, 974, 211},
+      {8, kShared, 3, 7, 0x1.0487b117d8cf3p+31, 15020, 961, 211},
+      {8, kShared, 4, 8, 0x1.0c29de9bfd68ep+33, 15020, 1016, 211},
+      {8, kShared, 5, 6, 0x1.bf00b61c234fap+29, 15020, 986, 211},
+      {8, kShared, 6, 7, 0x1.4d34bde792a29p+31, 15020, 964, 211},
+      {8, kPerTableAndIndex, 0, 6, 0x1.633be8617354ep+27, 15020, 974, 211},
+      {8, kPerTableAndIndex, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 974, 211},
+      {8, kPerTableAndIndex, 2, 6, 0x1.1586cd8c221a7p+34, 15020, 974, 211},
+      {8, kPerTableAndIndex, 3, 6, 0x1.0ed235cec7855p+34, 15020, 1058, 211},
+      {8, kPerTableAndIndex, 4, 9, 0x1.4e536bfa0265bp+25, 15020, 932, 211},
+      {8, kPerTableAndIndex, 5, 6, 0x1.01cc78f638e71p+33, 15020, 1049, 211},
+      {8, kPerTableAndIndex, 6, 6, 0x1.920a94272ebdfp+32, 15020, 981, 211},
+      {8, kColocated, 0, 6, 0x1.633be8617354ep+27, 15020, 974, 211},
+      {8, kColocated, 1, 6, 0x1.c6b314f79ddd7p+20, 15020, 974, 211},
+      {8, kColocated, 2, 6, 0x1.1586cd8c221a7p+34, 15020, 974, 211},
+      {8, kColocated, 3, 10, 0x1.63a338f7eb19ap+30, 14730, 924, 211},
+      {8, kColocated, 4, 6, 0x1.fe83f8d6c8a2p+33, 15020, 970, 211},
+      {8, kColocated, 5, 6, 0x1.f4db83e53d9dap+31, 15020, 991, 211},
+      {8, kColocated, 6, 6, 0x1.41387aeee28e3p+26, 15020, 1009, 211},
+      {9, kShared, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 570, 142},
+      {9, kShared, 1, 11, 0x1.529bc37047a3p+21, 5949, 570, 142},
+      {9, kShared, 2, 11, 0x1.9d5724128f727p+34, 5949, 570, 142},
+      {9, kShared, 3, 11, 0x1.04bb74da54ba7p+31, 5949, 576, 142},
+      {9, kShared, 4, 12, 0x1.4e4704019f0a5p+34, 5949, 617, 142},
+      {9, kShared, 5, 11, 0x1.7c413a5da45e1p+30, 5949, 553, 142},
+      {9, kShared, 6, 11, 0x1.4d16e95a47debp+31, 5949, 573, 142},
+      {9, kPerTableAndIndex, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 570, 142},
+      {9, kPerTableAndIndex, 1, 11, 0x1.529bc37047a3p+21, 5949, 570, 142},
+      {9, kPerTableAndIndex, 2, 11, 0x1.9d5724128f726p+34, 5949, 570, 142},
+      {9, kPerTableAndIndex, 3, 11, 0x1.96285a00f2356p+34, 5949, 582, 142},
+      {9, kPerTableAndIndex, 4, 13, 0x1.5ed15f1beffabp+25, 6370, 559, 142},
+      {9, kPerTableAndIndex, 5, 14, 0x1.8fa39537d2188p+33, 5949, 517, 142},
+      {9, kPerTableAndIndex, 6, 15, 0x1.70199a41da737p+30, 5867, 532, 141},
+      {9, kColocated, 0, 11, 0x1.0889b0afb7f75p+28, 5949, 570, 142},
+      {9, kColocated, 1, 11, 0x1.529bc37047a3p+21, 5949, 570, 142},
+      {9, kColocated, 2, 11, 0x1.9d5724128f727p+34, 5949, 570, 142},
+      {9, kColocated, 3, 16, 0x1.82bee93279566p+24, 5949, 491, 142},
+      {9, kColocated, 4, 14, 0x1.7627110a3634bp+34, 5949, 526, 142},
+      {9, kColocated, 5, 11, 0x1.10193bc3982fdp+32, 5949, 587, 142},
+      {9, kColocated, 6, 14, 0x1.7906b1e59bbe9p+31, 5949, 502, 142},
   };
   const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
   size_t checked = 0;
@@ -522,12 +526,75 @@ TEST(OptimizerTest, WinnersCostsAndCandidateCountsArePinned) {
         EXPECT_EQ(r->plan->id, kIds[pin.id]) << where;
         EXPECT_EQ(r->total_cost, pin.total_cost) << where;
         EXPECT_EQ(enumerator.counters().priced, pin.priced) << where;
+        EXPECT_EQ(enumerator.counters().charged, pin.charged) << where;
         EXPECT_EQ(enumerator.counters().kept, pin.kept) << where;
         ++checked;
       }
     }
   }
   EXPECT_EQ(checked, std::size(kPins));
+}
+
+TEST(OptimizerTest, AllQueriesMatchParentDigest) {
+  // All 22 queries under every layout, at the baseline, at four vertices
+  // (all low, all high, the two alternating masks) and four seeded
+  // log-uniform points of the delta = 2, 100 and 1e4 bands, and at two
+  // points off the box: the baseline with its first coordinate at zero,
+  // and with it negative (discovery's LP can probe there). One FNV-64
+  // digest over every call's winner id, total cost and usage, each cost
+  // and coordinate as a hexfloat, so any bit of any answer that moves
+  // shows. Recorded from the point DP before bound-first pruning.
+  const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
+  uint64_t digest = 0xcbf29ce484222325ull;
+  const auto mix = [&digest](const std::string& text) {
+    for (const unsigned char ch : text) {
+      digest ^= ch;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  size_t calls = 0;
+  for (const Query& q : tpch::MakeTpchQueries(cat)) {
+    for (LayoutPolicy policy :
+         {LayoutPolicy::kSharedDevice, LayoutPolicy::kPerTableAndIndex,
+          LayoutPolicy::kPerTableColocated}) {
+      const StorageLayout layout(policy, cat, query::ReferencedTables(q));
+      const storage::ResourceSpace space = layout.BuildResourceSpace();
+      const Optimizer optimizer(cat, layout, space);
+      const auto prepared = optimizer.Prepare(q);
+      ASSERT_TRUE(prepared.ok());
+      const core::CostVector baseline = space.BaselineCosts();
+      std::vector<core::CostVector> points = {baseline};
+      Rng rng(29);
+      for (double delta : {2.0, 100.0, 1e4}) {
+        const core::Box box = core::Box::MultiplicativeBand(baseline, delta);
+        const uint64_t all = box.VertexCount() - 1;
+        for (const uint64_t mask :
+             {uint64_t{0}, all, uint64_t{0x5555555555555555ull} & all,
+              uint64_t{0xAAAAAAAAAAAAAAAAull} & all}) {
+          points.push_back(box.Vertex(mask));
+        }
+        for (int i = 0; i < 4; ++i) points.push_back(box.SampleLogUniform(rng));
+      }
+      core::CostVector zero = baseline;
+      zero[0] = 0.0;
+      points.push_back(zero);
+      core::CostVector negative = baseline;
+      negative[0] = -1e3 * baseline[0];
+      points.push_back(negative);
+      for (const core::CostVector& c : points) {
+        const Result<Optimized> r = optimizer.Optimize(**prepared, c);
+        ASSERT_TRUE(r.ok()) << q.name;
+        mix(r->plan->id);
+        mix(StrFormat(" %a", r->total_cost));
+        for (const double u : r->plan->usage) mix(StrFormat(" %a", u));
+        mix("\n");
+        ++calls;
+      }
+    }
+  }
+  EXPECT_EQ(calls, 22u * 3u * 27u);
+  EXPECT_EQ(digest, 0x05ce99aeee6df850ull)
+      << StrFormat("0x%016llx", static_cast<unsigned long long>(digest));
 }
 
 }  // namespace

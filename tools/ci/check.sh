@@ -19,14 +19,14 @@
 #      golden_fig5_with_sidecar ctest entry, so stage 3 runs them
 #   8  optimizer stage failed: micro_optimizer exited nonzero. The stage
 #      only reports (us per query preparation, us per DP call, join
-#      candidates priced/built/kept per call); it never gates on timing,
-#      which varies across hosts
+#      candidates priced/charged/built/kept per call); it never gates on
+#      timing, which varies across hosts
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
-# them: resilience plus the pinned examples under ASan (the examples run
-# the paper loop: optimizer -> discovery -> LP -> census), concurrency
-# under TSan. Set
+# them: resilience, the pinned examples (the paper loop: optimizer ->
+# discovery -> LP -> census) and the optimizer suite (the enumerator's
+# scratch slots) under ASan, concurrency under TSan. Set
 # COSTSENSE_CI_SKIP_SANITIZERS=1 to stop after the lint gate (fast local
 # pre-push loop).
 set -u
@@ -68,10 +68,10 @@ if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-stage "AddressSanitizer (build-asan/, ctest -L 'resilience|examples')"
+stage "AddressSanitizer (build-asan/, ctest -L 'resilience|examples|optimizer')"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DCOSTSENSE_ASAN=ON >/dev/null || exit 5
 cmake --build "$ROOT/build-asan" -j "$JOBS" || exit 5
-ctest --test-dir "$ROOT/build-asan" -L 'resilience|examples' \
+ctest --test-dir "$ROOT/build-asan" -L 'resilience|examples|optimizer' \
   --output-on-failure -j "$JOBS" || exit 5
 
 stage "ThreadSanitizer (build-tsan/, ctest -L concurrency)"
