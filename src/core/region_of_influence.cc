@@ -1,5 +1,6 @@
 #include "core/region_of_influence.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -79,8 +80,11 @@ Result<CandidacyResult> FindRegionWitness(const UsageVector& a,
   out.candidate = true;
   out.margin = sol.x[n];
   out.witness = CostVector(n);
+  // The solver can report an optimum with some w_i far below 0; clamping
+  // keeps the witness, and every probe discovery makes at it, in the box.
   for (size_t i = 0; i < n; ++i) {
-    out.witness[i] = lo[i] + sol.x[i] * (hi[i] - lo[i]);
+    const double w = std::clamp(sol.x[i], 0.0, 1.0);
+    out.witness[i] = lo[i] + w * (hi[i] - lo[i]);
   }
   return out;
 }

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/strings.h"
+#include "core/discovery.h"
 #include "exp/figure_runner.h"
 #include "exp/query_context.h"
 #include "exp/report.h"
@@ -146,6 +148,63 @@ TEST(FigureRunnerTest, ColdWhiteBoxRunReportsCacheEntries) {
   EXPECT_EQ(analysis->cache_imported, 0u);
   EXPECT_GT(analysis->cache_entries, 0u);
   EXPECT_LE(analysis->cache_entries, analysis->cache_misses);
+}
+
+/// Forwards every probe to `base` and keeps the cost vectors it was
+/// asked about, in order.
+class RecordingOracle : public core::PlanOracle {
+ public:
+  explicit RecordingOracle(core::PlanOracle& base) : base_(base) {}
+
+  core::OracleResult Optimize(const core::CostVector& c) override {
+    probes_.push_back(c);
+    return base_.Optimize(c);
+  }
+  size_t dims() const override { return base_.dims(); }
+  const std::vector<core::CostVector>& probes() const { return probes_; }
+
+ private:
+  core::PlanOracle& base_;
+  std::vector<core::CostVector> probes_;
+};
+
+TEST(DiscoveryTest, EveryProbeLiesInTheFeasibleBox) {
+  // Discovery probes, among others, the LP witness of each plan's region
+  // of influence; every probe must be a cost vector in the box, or the
+  // plans found there are not candidates for it. Both runs are the ones
+  // that probed outside when the solver reported a witness coordinate
+  // below zero: Q20 over the delta = 1e4 band (the sensitivity_audit
+  // example) and quick fig6's Q8 over the delta = 1000 band, both under
+  // the per-table-and-index layout, through the figure's cache and seed.
+  struct Case {
+    int query;
+    double delta;
+    core::DiscoveryOptions discovery;
+  };
+  const Case cases[] = {{20, 1e4, FigureRunner::Options().discovery},
+                        {8, 1000.0, QuickDiscoveryOptions()}};
+  for (const Case& c : cases) {
+    const query::Query q = tpch::MakeTpchQuery(Cat(), c.query);
+    const Result<std::unique_ptr<QueryContext>> ctx = QueryContext::Create(
+        Cat(), q, storage::LayoutPolicy::kPerTableAndIndex,
+        /*white_box=*/true, {}, nullptr);
+    ASSERT_TRUE(ctx.ok()) << q.name;
+    RecordingOracle recorder((*ctx)->stack.cache());
+    const core::Box box =
+        core::Box::MultiplicativeBand((*ctx)->baseline, c.delta);
+    Rng rng(FigureRunner::Options().seed);
+    const Result<core::DiscoveryResult> d =
+        core::DiscoverCandidatePlans(recorder, box, rng, c.discovery);
+    ASSERT_TRUE(d.ok()) << q.name;
+    size_t outside = 0;
+    for (const core::CostVector& probe : recorder.probes()) {
+      if (!box.Contains(probe)) ++outside;
+    }
+    EXPECT_GT(recorder.probes().size(), 100u) << q.name;
+    EXPECT_EQ(outside, 0u) << q.name << " probed outside the box "
+                           << outside << " of " << recorder.probes().size()
+                           << " times";
+  }
 }
 
 TEST(QueryContextTest, NarrowAndWhiteBoxContextsAgreeOnTheInitialPlan) {
